@@ -20,11 +20,11 @@ A **trace-hash** micro-benchmark tracks the cached ``UarchTrace.__hash__``
 times).
 
 The full budget additionally measures **intra-round parallel simulation**
-(``--sim-workers``): for every defense the wide workload runs single-process
-(seed path), sharded inline (``sim_workers=0``) and on a real worker pool,
-asserting identical violations and signatures across sharded settings.  The
-per-task worker timings of the sharded run feed a per-dispatch LPT makespan
-projection of multi-worker wall clock — on this container (`os.cpu_count()`
+(``--sim-workers``): for every defense the wide workload runs inline (the
+default, ``sim_workers=0``) and on a real worker pool, asserting identical
+violations and signatures across settings.  The per-task timings of the
+inline run feed a per-dispatch LPT makespan projection of multi-worker wall
+clock — on this container (`os.cpu_count()`
 is recorded in the artifact) pooled workers time-share one core, so the
 measured pooled rows show transport overhead while the projection shows the
 schedule speedup the same task stream yields with real cores.  A
@@ -65,7 +65,7 @@ from repro.backends.simshard import (
     SIM_CHUNKS_PER_ROUND,
     CompactRecord,
     FullRecord,
-    TaskResult,
+    TaskOutcome,
     dumps_oob,
     shutdown_pool,
 )
@@ -90,7 +90,7 @@ FLOOR_PATH = os.path.join(HERE, "throughput_floor.json")
 def artifact_path(
     filter_level: "FilterLevel",
     specialize: bool = True,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 0,
 ) -> str:
     """Filtered / interpreted / sharded runs get their own artifact so they
     never overwrite the unfiltered measurement CI uploads for the perf
@@ -98,7 +98,7 @@ def artifact_path(
     suffix = "" if filter_level is FilterLevel.NONE else f"_{filter_level.value}"
     if not specialize:
         suffix += "_nospec"
-    if sim_workers is not None:
+    if sim_workers:
         suffix += f"_simworkers{sim_workers}"
     return os.path.join(HERE, "artifacts", f"BENCH_throughput{suffix}.json")
 
@@ -141,7 +141,7 @@ def measure_end_to_end(
     filter_level: FilterLevel = FilterLevel.NONE,
     boost_factor: Optional[int] = None,
     specialize: bool = True,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 0,
 ) -> Dict[str, object]:
     """One inline-backend campaign; returns test-cases/sec and a time split."""
     config = FuzzerConfig(
@@ -312,7 +312,7 @@ def _wide_campaign(
     defense: str,
     programs: int,
     inputs: int,
-    sim_workers: Optional[int],
+    sim_workers: int,
     specialize: bool,
 ) -> Dict[str, object]:
     """One wide (unboosted) campaign at the given ``sim_workers`` setting."""
@@ -346,7 +346,7 @@ def _best_of(
     defense: str,
     programs: int,
     inputs: int,
-    sim_workers: Optional[int],
+    sim_workers: int,
     specialize: bool,
     repeats: int,
 ) -> Dict[str, object]:
@@ -377,26 +377,22 @@ def measure_parallel_simulation(
 ) -> Dict[str, object]:
     """Intra-round parallel simulation on the wide workload, per defense.
 
-    Measures wall clock at ``sim_workers=None`` (seed path), ``0`` (sharded
-    inline) and each real pool size, best of ``repeats`` for the two
-    process-local settings.  Violations and signatures must be identical
-    across every *sharded* setting (the byte-identity guarantee); whether
-    they also match the seed path is recorded but not required — the seed
-    path shares one simulator per program, so predictor carryover differs.
+    Measures wall clock inline (``sim_workers=0``, best of ``repeats``) and
+    at each real pool size.  Violations and signatures must be identical
+    across every setting (the byte-identity guarantee).
 
-    Multi-worker wall clock is additionally *projected* from the sharded
-    run's per-task worker timings: each ``map``/``map_contract`` dispatch is
-    a barrier, so the projection replaces every dispatch's serial task time
+    Multi-worker wall clock is additionally *projected* from the inline
+    run's per-task timings: each ``map``/``map_contract`` dispatch is a
+    barrier, so the projection replaces every dispatch's serial task time
     with its LPT makespan on W workers and keeps the coordinator remainder
     serial.  On a single-core container the measured pooled rows cannot beat
-    single-process (workers time-share the core and pay transport on top);
-    the projection is the schedule's speedup with real cores, computed from
+    inline (workers time-share the core and pay transport on top); the
+    projection is the schedule's speedup with real cores, computed from
     measured per-task costs, and ``cpu_count`` is recorded next to it.
     """
     rows: List[Dict[str, object]] = []
     equivalence_ok = True
     for defense in defenses:
-        single = _best_of(defense, programs, inputs, None, specialize, repeats)
         sharded = _best_of(defense, programs, inputs, 0, specialize, repeats)
 
         measured_pool: Dict[str, object] = {}
@@ -445,35 +441,25 @@ def measure_parallel_simulation(
                 "test_cases_per_second": round(sharded["test_cases"] / wall, 2),
             }
 
-        single_tcs = single["test_cases"] / single["elapsed"]
+        inline_tcs = sharded["test_cases"] / sharded["elapsed"]
         w_max = str(max(projection_workers))
         row: Dict[str, object] = {
             "defense": defense,
             "test_cases": sharded["test_cases"],
             "violations": sharded["violations"],
             "unique_signatures": len(sharded["signatures"]),
-            "matches_single_process": (
-                single["violations"] == sharded["violations"]
-                and single["signatures"] == sharded["signatures"]
-            ),
-            "single_process": {
-                "seconds": round(single["elapsed"], 3),
-                "test_cases_per_second": round(single_tcs, 2),
-                "violations": single["violations"],
-            },
             "sharded_inline": {
                 "seconds": round(sharded["elapsed"], 3),
-                "test_cases_per_second": round(
-                    sharded["test_cases"] / sharded["elapsed"], 2
-                ),
+                "test_cases_per_second": round(inline_tcs, 2),
                 "violations": sharded["violations"],
                 "busy_seconds": round(busy, 3),
                 "serial_seconds": round(serial, 3),
             },
             "measured_pool": measured_pool,
             "projected": projected,
+            # The inline row is the measured single-process run.
             "projected_speedup_vs_single": round(
-                projected[w_max]["test_cases_per_second"] / single_tcs, 2
+                projected[w_max]["test_cases_per_second"] / inline_tcs, 2
             ),
             "phase_breakdown": sharded["phase_breakdown"],
         }
@@ -481,7 +467,7 @@ def measure_parallel_simulation(
             row["transport"] = transport
         rows.append(row)
         print(
-            f"  parallel   {defense:12s} single {row['single_process']['test_cases_per_second']:>7} "
+            f"  parallel   {defense:12s} inline {row['sharded_inline']['test_cases_per_second']:>7} "
             f"tc/s, projected W{w_max} {projected[w_max]['test_cases_per_second']:>8} tc/s "
             f"({row['projected_speedup_vs_single']}x, {row['violations']} violations)"
         )
@@ -516,7 +502,7 @@ def measure_serialization(
     Runs a fixed workload on the baseline defense, then pickles the same
     execution records both ways the shard transport could ship them — as
     :class:`FullRecord` objects (trace + materialized predictor context +
-    simulation result) and as a :class:`TaskResult` of digest-plus-counters
+    simulation result) and as a :class:`TaskOutcome` of digest-plus-counters
     :class:`CompactRecord` entries — reporting bytes per result and pickle
     seconds for each.  This is the trade the digest-then-materialize design
     banks on: the compact pass ships everything detection needs, and full
@@ -543,8 +529,12 @@ def measure_serialization(
         )
         for record in records
     ]
-    compact = TaskResult(
-        task_id=0, compact=[CompactRecord.from_record(record) for record in records]
+    compact = TaskOutcome(
+        task_id=0,
+        records=[CompactRecord.from_record(record) for record in records],
+        modeled_seconds={},
+        wall_clock_seconds={},
+        simulator_starts=0,
     )
 
     def _cost(obj) -> Dict[str, object]:
@@ -619,7 +609,7 @@ def run_suite(
     defenses=DEFENSES,
     filter_level: FilterLevel = FilterLevel.NONE,
     specialize: bool = True,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 0,
     parallel_section: bool = False,
 ) -> Dict[str, object]:
     end_to_end: List[Dict[str, object]] = []
@@ -709,7 +699,7 @@ def run_suite(
         "serialization": serialization_row,
         "specialization": specialization_row,
     }
-    if sim_workers is not None:
+    if sim_workers:
         suite["sim_workers"] = sim_workers
     if parallel_row is not None:
         suite["parallel_simulation"] = parallel_row
@@ -767,11 +757,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--sim-workers",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
         help="run the end-to-end campaigns with intra-round simulation sharded "
-        "across N persistent workers (0: sharded inline; artifact gets a "
-        "_simworkersN suffix)",
+        "across N persistent workers (default 0: inline; N >= 1 gives the "
+        "artifact a _simworkersN suffix)",
     )
     args = parser.parse_args(argv)
 
@@ -780,17 +770,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--record-baseline always uses filter=none (the seed behavior)")
     if args.record_baseline and not args.specialize:
         parser.error("--record-baseline measures the shipped (specialized) path")
-    if args.record_baseline and args.sim_workers is not None:
-        parser.error("--record-baseline measures the unsharded seed path")
-    if args.sim_workers is not None and args.sim_workers < 0:
+    if args.record_baseline and args.sim_workers:
+        parser.error("--record-baseline measures the inline default")
+    if args.sim_workers < 0:
         parser.error("--sim-workers must be at least 0")
 
     budget = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     label = "smoke" if args.smoke else "full"
     mode = "specialized" if args.specialize else "interpreted"
-    sharding = (
-        f", sim-workers={args.sim_workers}" if args.sim_workers is not None else ""
-    )
+    sharding = f", sim-workers={args.sim_workers}" if args.sim_workers else ""
     print(
         f"== throughput benchmark ({label} budget, filter={filter_level.value}, "
         f"{mode}{sharding}) =="
@@ -801,13 +789,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         specialize=args.specialize,
         sim_workers=args.sim_workers,
         # The parallel-simulation study rides only on the full, unfiltered,
-        # unsharded run — the one whose artifact CI tracks for the perf
-        # trajectory; a sharded (--sim-workers) run IS the pooled path
-        # end to end, so the study would be redundant there.
+        # inline run — the one whose artifact CI tracks for the perf
+        # trajectory; a pooled (--sim-workers N) run IS the pooled path end
+        # to end, so the study would be redundant there.
         parallel_section=(
             not args.smoke
             and filter_level is FilterLevel.NONE
-            and args.sim_workers is None
+            and not args.sim_workers
             and not args.record_baseline
         ),
     )
@@ -914,7 +902,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("[floor] sharded settings disagree on violations: REGRESSION")
                 return 1
             # The projected-speedup floor is a same-run ratio (projected W-max
-            # over measured single-process), so it holds across machines of
+            # over the measured inline run), so it holds across machines of
             # different absolute speed — no -30% slack needed.
             ratio_floor = floor.get("parallel_projected_speedup")
             ratio = parallel.get("headline_projected_speedup")

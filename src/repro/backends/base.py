@@ -112,22 +112,6 @@ class ExecutionBackend(ABC):
         """
         return [fn(item) for item in items]
 
-    def map_simulations(self, tasks: Sequence[Any]) -> List[Any]:
-        """Simulate a round's contract-class shards; outcomes in task order.
-
-        ``tasks`` are :class:`~repro.backends.simshard.SimulationTask`s —
-        one witnessable contract-equivalence class each, self-contained
-        (program + inputs + executor spec).  Every task runs on a fresh
-        simulator, so its outcome is a pure function of the task and the
-        result list is byte-identical whatever the backend's scheduling.
-        The base implementation is the inline fallback (serial, on the
-        calling thread, full records, no IPC); pooled backends override it
-        with sharded workers and compact trace transport.
-        """
-        from repro.backends.simshard import run_tasks_inline
-
-        return run_tasks_inline(tasks)
-
     @staticmethod
     def empty_report(config: FuzzerConfig) -> FuzzerReport:
         """Report for an instance whose work was cancelled before it started."""

@@ -109,9 +109,19 @@ class FaultPlan:
         return None
 
     # -- probe points ---------------------------------------------------------
-    def maybe_kill(self, site: str, **context: object) -> None:
-        """Die immediately (no cleanup, like SIGKILL) when a kill is scheduled."""
+    def maybe_kill(self, site: str, flush=None, **context: object) -> None:
+        """Die immediately (no cleanup, like SIGKILL) when a kill is scheduled.
+
+        ``flush`` is the shared result queue the dying worker writes to: its
+        pending messages are pushed into the pipe first.  Dying in the middle
+        of a send would leave the queue's write lock held (and a torn message
+        in the pipe) for every other writer — a hang that turns a
+        deterministic fault into a timing-dependent one.
+        """
         if self._take("kill", site, context) is not None:
+            if flush is not None:
+                flush.close()
+                flush.join_thread()
             os._exit(KILL_EXIT_CODE)
 
     def maybe_delay(self, site: str, **context: object) -> None:

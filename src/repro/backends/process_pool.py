@@ -17,14 +17,14 @@ completion just because it was scheduled.
 
 **Supervision.**  Workers additionally stream resume snapshots
 (:meth:`AmuletFuzzer.state_dict`) at state boundaries.  The coordinator
-keeps the latest snapshot per instance, tracks per-worker liveness and
-activity deadlines, and when a worker dies (or overruns
-``task_timeout_seconds`` and is force-killed) it respawns a replacement —
-after an exponential backoff, up to ``max_retries`` times per worker slot —
-restored from the latest snapshots.  Replayed rounds are deduplicated by
-program index (rounds are counter-addressed pure functions, so a replay is
-byte-identical), which makes recovery exactly-once from the caller's point
-of view.  A worker slot that exhausts its retries degrades gracefully: its
+keeps the latest snapshot per instance and supervises its workers through
+the slot primitive of :mod:`repro.backends.supervision`: when a worker dies
+(or overruns ``task_timeout_seconds`` and is force-killed) it respawns a
+replacement — after an exponential backoff, up to ``max_retries`` times per
+worker slot — restored from the latest snapshots.  Replayed rounds are
+deduplicated by program index (rounds are counter-addressed pure functions,
+so a replay is byte-identical), which makes recovery exactly-once from the
+caller's point of view.  A worker slot that exhausts its retries degrades gracefully: its
 unfinished instances report the rounds they completed, and the abandoned
 remainder is recorded in ``FuzzerReport.faults`` (per-reason counters plus
 lost-round IDs) instead of killing the campaign.
@@ -38,7 +38,6 @@ import os
 import pickle
 import queue as queue_module
 import signal
-import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,12 +47,9 @@ from repro.backends.base import (
     RoundCallback,
     StateCallback,
 )
+from repro.backends.supervision import POLL_SECONDS, WorkerSlot, supervise
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
-
-#: How long the coordinator waits on the result queue before re-checking
-#: worker liveness (guards against a crashed worker deadlocking the campaign).
-_POLL_SECONDS = 0.25
 
 
 def _worker_main(
@@ -111,7 +107,7 @@ def _worker_main(
                         "generation": generation,
                     }
                     faults.maybe_delay("pool_worker", **context)
-                    faults.maybe_kill("pool_worker", **context)
+                    faults.maybe_kill("pool_worker", flush=results, **context)
                     result = next(rounds[instance_index], None)
                     if result is None:
                         break
@@ -141,18 +137,6 @@ def _report_from_state(state: Optional[dict]) -> Optional[FuzzerReport]:
     if state is None:
         return None
     return pickle.loads(base64.b64decode(state["report_pickle"]))
-
-
-class _WorkerSlot:
-    """One supervised worker: its process, pinned instances, retry budget."""
-
-    def __init__(self, worker_id: int, instance_indices: List[int]) -> None:
-        self.worker_id = worker_id
-        self.instances = instance_indices
-        self.process = None
-        self.generation = 0
-        self.retries = 0
-        self.last_activity = 0.0
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -220,21 +204,6 @@ class ProcessPoolBackend(ExecutionBackend):
         with context.Pool(processes=workers) as pool:
             return pool.map(fn, items, chunksize=chunksize)
 
-    def map_simulations(self, tasks: Sequence[Any]) -> List[Any]:
-        """Shard simulation tasks across the persistent sim-worker pool.
-
-        Inside one of this backend's own (daemonic) campaign workers a
-        nested pool is impossible, so the inline fallback runs instead —
-        with identical results, since each task is simulated on a fresh core
-        either way.
-        """
-        from repro.backends import simshard
-
-        if multiprocessing.current_process().daemon or not tasks:
-            return simshard.run_tasks_inline(tasks)
-        workers = self.workers if self.workers is not None else (os.cpu_count() or 2)
-        return simshard.get_pool(max(1, workers)).map(tasks)
-
     def _supervision_knobs(
         self, plan: CampaignPlan
     ) -> Tuple[int, float, Optional[float]]:
@@ -268,12 +237,6 @@ class ProcessPoolBackend(ExecutionBackend):
         pinned: List[List[int]] = [[] for _ in range(workers)]
         for instance_index in range(plan.instances):
             pinned[instance_index % workers].append(instance_index)
-        slots = [
-            _WorkerSlot(worker_id, indices)
-            for worker_id, indices in enumerate(pinned)
-            if indices
-        ]
-        slot_by_id = {slot.worker_id: slot for slot in slots}
 
         # Latest resume snapshot and next expected round per instance.  The
         # plan's initial states (campaign resume) seed both: replayed rounds
@@ -297,20 +260,18 @@ class ProcessPoolBackend(ExecutionBackend):
         }
         failure: Optional[str] = None
 
-        def spawn(slot: _WorkerSlot) -> None:
-            assigned = [
-                (index, plan.configs[index])
-                for index in slot.instances
-                if index not in reports
-            ]
-            states = [latest_state[index] for index, _ in assigned]
-            slot.process = context.Process(
+        def unfinished(slot: WorkerSlot) -> List[int]:
+            return [index for index in pinned[slot.index] if index not in reports]
+
+        def start(slot: WorkerSlot):
+            assigned = [(index, plan.configs[index]) for index in unfinished(slot)]
+            process = context.Process(
                 target=_worker_main,
                 args=(
-                    slot.worker_id,
+                    slot.index,
                     slot.generation,
                     assigned,
-                    states,
+                    [latest_state[index] for index, _ in assigned],
                     self.chunk_size,
                     plan.stop_on_violation,
                     mp_stop,
@@ -319,14 +280,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 ),
                 daemon=True,
             )
-            slot.process.start()
-            slot.last_activity = time.monotonic()
+            process.start()
+            return process
+
+        slots = [WorkerSlot(worker_id, start) for worker_id in range(workers)]
 
         def handle_message(kind, worker_id, instance_index, payload) -> None:
             nonlocal failure
-            slot = slot_by_id.get(worker_id)
-            if slot is not None:
-                slot.last_activity = time.monotonic()
+            slots[worker_id].touch()
             if kind == "round":
                 if payload.program_index < expected[instance_index]:
                     return  # replayed after a respawn; already streamed
@@ -363,80 +324,49 @@ class ProcessPoolBackend(ExecutionBackend):
                     return
                 handle_message(*message)
 
-        def unfinished(slot: _WorkerSlot) -> List[int]:
-            return [index for index in slot.instances if index not in reports]
-
-        def handle_worker_loss(slot: _WorkerSlot, reason: str) -> None:
+        def handle_worker_loss(slot: WorkerSlot, reason: str) -> None:
             """A worker died or was killed for overrunning its deadline."""
             affected = unfinished(slot)
-            if not affected:
-                return
             for index in affected:
                 fault_counters[index][reason] = (
                     fault_counters[index].get(reason, 0) + 1
                 )
-            slot.retries += 1
-            if mp_stop.is_set() or slot.retries > max_retries:
-                # Degrade: keep everything the lost instances completed (the
-                # latest snapshot's report), record the abandoned remainder.
-                for index in affected:
-                    report = _report_from_state(latest_state[index])
-                    if report is None:
-                        report = self.empty_report(plan.configs[index])
-                    if not mp_stop.is_set():
-                        budget = plan.configs[index].programs_per_instance
-                        lost_rounds[index] = list(
-                            range(report.programs_tested, budget)
-                        )
-                    reports[index] = report
+            if slot.respawn(max_retries, backoff_seconds, give_up=mp_stop.is_set()):
                 return
-            time.sleep(backoff_seconds * (2 ** (slot.retries - 1)))
-            slot.generation += 1
-            spawn(slot)
+            # Degrade: keep everything the lost instances completed (the
+            # latest snapshot's report), record the abandoned remainder.
+            for index in affected:
+                report = _report_from_state(latest_state[index])
+                if report is None:
+                    report = self.empty_report(plan.configs[index])
+                if not mp_stop.is_set():
+                    budget = plan.configs[index].programs_per_instance
+                    lost_rounds[index] = list(range(report.programs_tested, budget))
+                reports[index] = report
 
         for slot in slots:
-            spawn(slot)
+            slot.spawn()
 
         try:
             while len(reports) < plan.instances and failure is None:
                 if stop_event is not None and stop_event.is_set():
                     mp_stop.set()
                 try:
-                    message = results.get(timeout=_POLL_SECONDS)
+                    message = results.get(timeout=POLL_SECONDS)
                 except queue_module.Empty:
-                    now = time.monotonic()
-                    for slot in slots:
-                        if not unfinished(slot):
-                            continue
-                        if not slot.process.is_alive():
-                            # The worker may have flushed its final messages
-                            # right as it died; drain before declaring loss.
-                            drain_pending()
-                            if unfinished(slot):
-                                handle_worker_loss(slot, "worker_death")
-                        elif (
-                            task_timeout is not None
-                            and now - slot.last_activity > task_timeout
-                        ):
-                            slot.process.kill()
-                            slot.process.join(timeout=5)
-                            self.force_kills += 1
-                            drain_pending()
-                            if unfinished(slot):
-                                handle_worker_loss(slot, "deadline")
+                    self.force_kills += supervise(
+                        slots,
+                        task_timeout,
+                        lambda slot: bool(unfinished(slot)),
+                        drain_pending,
+                        handle_worker_loss,
+                    )
                     continue
                 handle_message(*message)
         finally:
             mp_stop.set()
             for slot in slots:
-                if slot.process is not None:
-                    slot.process.join(timeout=10)
-            for slot in slots:
-                if slot.process is not None and slot.process.is_alive():
-                    # pragma: no cover - last resort
-                    slot.process.terminate()
-                    slot.process.join(timeout=5)
-                    self.force_kills += 1
+                self.force_kills += slot.stop()
             results.close()
             results.join_thread()
 

@@ -4,69 +4,73 @@ After the execution scheduler partitions a round into contract-equivalence
 classes, detection is *class-local*: a Definition 2.1 violation is witnessed
 (or not) entirely inside one class, validation contexts come from inside the
 class, and coverage features are per-entry.  That makes the witnessable
-classes of a round independent shard units — this module fans them out
-across a pool of persistent worker processes:
+classes of a round independent shard units.  Every round goes through this
+module, whatever ``sim_workers`` is: ``0`` runs the shards inline on the
+calling thread, ``>= 1`` fans them out across a pool of persistent worker
+processes, and both give the same answer:
 
 * each :class:`SimulationTask` is one *chunk*: a contiguous run of classes
   (entries in plan order) merged by :func:`chunk_classes` into a fixed
-  per-round shard count; the worker runs a chunk on a **fresh simulator**,
-  so a task's result depends only on the task, never on which worker ran it
-  or in what order — sharded results are byte-identical to running the same
-  tasks inline, whatever the worker count;
+  per-round shard count.  A chunk is one AMuLeT-Opt batch: it runs on a
+  **freshly started simulator**, with predictor state carried across its
+  inputs, so a task's result depends only on the task, never on which
+  worker ran it or in what order.  (Starting the next chunk of the same
+  program rewinds the loaded core instead of building a new one; the
+  records are the same.)
 * workers keep a :class:`SimulatorExecutor` per :class:`ExecutorSpec`
   (defense, uarch config, mode, trace format, ...) alive across rounds, so
   the process-wide specialization cache and the executor's primed machinery
   are reused instead of re-pickled per round;
-* results travel back in a **compact wire format**: a BLAKE2b digest of
-  each micro-architectural trace plus the :class:`CoreStatistics` the
+* pooled results travel back in a **compact wire format**: a BLAKE2b digest
+  of each micro-architectural trace plus the :class:`CoreStatistics` the
   coverage map needs — the detector only groups traces by equality, so
   digests suffice.  Full :class:`~repro.executor.traces.UarchTrace` payloads
   and materialized predictor contexts are fetched in a targeted second pass
   for the minority-group entries the detector actually promotes to
   violation witnesses (workers hold their task results in memory until the
-  round releases them);
+  round releases them).  Inline shards keep their full records and compute
+  no digests;
 * task payloads are pickled with **protocol 5 out-of-band buffers**, so the
   sandbox memory of every :class:`~repro.generator.inputs.Input` is carved
   out of the opcode stream instead of being copied through it;
 * the **contract pass** shards through the same workers: each base input's
   leakage-model run plus its contract-preserving boosted variants is one
   :class:`ContractTask` — base inputs are counter-seeded and variant
-  derivation is seeded purely by the base input's fingerprint, so a worker
-  reproduces exactly the inputs the single-process path would generate.
-  For taint-tracking contracts (the STT defense's ARCH-SEQ pass dominates
-  its rounds) this is where most of the parallel win comes from.
+  derivation is seeded purely by the base input's fingerprint, so every
+  worker derives exactly the same inputs.  Boosting
+  (``InputGenerator.mutate_preserving``) lives in this pass and takes most
+  of an STT round's wall time, so for STT this is where most of the
+  parallel win comes from.
 
 The pool is a process-wide singleton (persistent workers are the point);
 ``shutdown_pool()`` tears it down explicitly and an ``atexit`` hook — plus
 daemonized workers — guarantees nothing outlives the interpreter.  Inside a
 daemonic process (e.g. a :class:`ProcessPoolBackend` campaign worker, which
-cannot have children), sharded execution transparently falls back to the
-inline runner with identical results.
+cannot have children), a pooled setting runs its shards inline instead,
+with identical results.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import pickle
 import queue as queue_module
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.faults import fault_plan, reset_fault_plan
-
+from repro.backends.supervision import POLL_SECONDS, WorkerSlot, supervise
 from repro.executor.executor import (
     ExecutionMode,
     ExecutionRecord,
     PrimeStrategy,
     SimulatorExecutor,
 )
-from repro.executor.startup import IPC_TRANSPORT
-from repro.executor.traces import TraceConfig, UarchTrace, get_trace_config, trace_digest
+from repro.executor.traces import TraceConfig, UarchTrace, trace_digest
 from repro.generator.inputs import Input, InputGenerator
 from repro.generator.sandbox import Sandbox
 from repro.isa.program import Program
@@ -75,14 +79,6 @@ from repro.model.emulator import ContractTrace, Emulator, SpeculationProfile
 from repro.uarch.config import UarchConfig
 from repro.uarch.core import SimulationResult
 from repro.uarch.stats import CoreStatistics
-
-#: Coordinator poll interval while waiting on worker results (liveness guard).
-_POLL_SECONDS = 0.25
-
-#: Environment knob for tests: force the inline fallback even when a pool is
-#: requested (lets the equivalence suite A/B the exact same code path).
-FORCE_INLINE_ENV = "REPRO_SIM_FORCE_INLINE"
-
 
 # ---------------------------------------------------------------------------
 # wire format
@@ -175,6 +171,10 @@ class SimulationTask:
     program: Program
     inputs: Tuple[Input, ...]
 
+    def weight(self) -> int:
+        """Scheduling cost estimate: one unit per simulated input."""
+        return len(self.inputs)
+
 
 @dataclass(frozen=True)
 class ContractSpec:
@@ -207,7 +207,7 @@ class ContractTask:
 
     ``program_key`` is unique per (instance, round); workers key their cached
     :class:`~repro.model.emulator.Emulator` on it so all base inputs of a
-    round share one decoded/compiled program, exactly like the seed path.
+    round share one decoded/compiled program.
     """
 
     task_id: int
@@ -217,6 +217,10 @@ class ContractTask:
     base_index: int
     base_input: Optional[Input] = None
     base_counter: Optional[int] = None
+
+    def weight(self) -> int:
+        """Scheduling cost estimate: the base input plus its variants."""
+        return 1 + self.spec.boost_factor
 
 
 @dataclass
@@ -280,29 +284,6 @@ class FullRecord:
     trace: UarchTrace
     uarch_context: Optional[dict]
     result: SimulationResult
-
-
-@dataclass
-class TaskResult:
-    """What a worker reports for one completed task."""
-
-    task_id: int
-    compact: List[CompactRecord]
-    #: Modeled / wall-clock seconds this task added to the worker's executor.
-    modeled_seconds: Dict[str, float] = field(default_factory=dict)
-    wall_clock_seconds: Dict[str, float] = field(default_factory=dict)
-    simulator_starts: int = 0
-    #: Wall-clock measured *around* the task, which exceeds the executor's
-    #: own ledger deltas by per-task costs the ledger does not attribute
-    #: (core construction, record assembly).  This is what the task really
-    #: costs wherever it runs, so scheduling and makespan math use it.
-    elapsed_seconds: float = 0.0
-
-    def busy_seconds(self) -> float:
-        """Wall-clock the worker spent on this task, end to end."""
-        if self.elapsed_seconds > 0.0:
-            return self.elapsed_seconds
-        return sum(self.wall_clock_seconds.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,25 +353,28 @@ class RemoteRecord:
 
 @dataclass
 class TaskOutcome:
-    """Uniform (inline or pooled) result of one task for the round pipeline."""
+    """One simulation task's records plus the executor time it added."""
 
     task_id: int
-    #: One record per task input: full ``ExecutionRecord`` (inline) or
-    #: digest-backed :class:`RemoteRecord` (pooled).
+    #: One record per task input: a full ``ExecutionRecord`` (inline), a
+    #: :class:`CompactRecord` (on the wire), or a digest-backed
+    #: :class:`RemoteRecord` (pooled, on the coordinator).
     records: List[object]
+    #: Modeled / wall-clock seconds this task added to the executor's ledger.
     modeled_seconds: Dict[str, float]
     wall_clock_seconds: Dict[str, float]
     simulator_starts: int
-    pooled: bool
-    #: Result-message bytes on the wire (0 on the inline path).
-    compact_bytes: int = 0
-    #: End-to-end wall-clock of the task (see ``TaskResult.elapsed_seconds``).
+    #: Wall-clock measured *around* the task, which exceeds the executor's
+    #: own ledger deltas by per-task costs the ledger does not attribute
+    #: (simulator start, record assembly).  This is what the task really
+    #: costs wherever it runs, so scheduling and makespan math use it.
     elapsed_seconds: float = 0.0
+    pooled: bool = False
+    #: Result-message bytes on the wire (0 inline).
+    compact_bytes: int = 0
 
     def busy_seconds(self) -> float:
-        if self.elapsed_seconds > 0.0:
-            return self.elapsed_seconds
-        return sum(self.wall_clock_seconds.values())
+        return self.elapsed_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +410,10 @@ def _time_delta(
 
 def run_simulation_task(
     task: SimulationTask, executors: Dict[ExecutorSpec, SimulatorExecutor]
-) -> Tuple[TaskResult, List[ExecutionRecord]]:
-    """Run one task on a cached (or fresh) executor; return compact + full.
+) -> TaskOutcome:
+    """Run one task on a cached (or new) executor; full records.
 
-    ``load_program`` builds a brand-new core in Opt mode, so every task —
+    ``load_program`` starts a fresh simulator in Opt mode, so every task —
     wherever it runs — starts from the same micro-architectural state and
     its records are a pure function of the task.
     """
@@ -442,49 +426,19 @@ def run_simulation_task(
     executor.load_program(task.program)
     records = executor.run_batch(list(task.inputs))
     modeled, wall, starts = _time_delta(before, executor)
-    result = TaskResult(
+    return TaskOutcome(
         task_id=task.task_id,
-        compact=[CompactRecord.from_record(record) for record in records],
+        records=records,
         modeled_seconds=modeled,
         wall_clock_seconds=wall,
         simulator_starts=starts,
         elapsed_seconds=time.perf_counter() - started,
     )
-    return result, records
-
-
-def run_tasks_inline(
-    tasks: Sequence[SimulationTask],
-    executors: Optional[Dict[ExecutorSpec, SimulatorExecutor]] = None,
-) -> List[TaskOutcome]:
-    """The inline fallback behind ``ExecutionBackend.map_simulations``.
-
-    Runs every task serially on the calling thread with the same per-task
-    fresh-simulator semantics as the pooled path, returning full records
-    (there is no IPC to compress away).
-    """
-    if executors is None:
-        executors = {}
-    outcomes: List[TaskOutcome] = []
-    for task in tasks:
-        result, records = run_simulation_task(task, executors)
-        outcomes.append(
-            TaskOutcome(
-                task_id=task.task_id,
-                records=list(records),
-                modeled_seconds=result.modeled_seconds,
-                wall_clock_seconds=result.wall_clock_seconds,
-                simulator_starts=result.simulator_starts,
-                pooled=False,
-                elapsed_seconds=result.elapsed_seconds,
-            )
-        )
-    return outcomes
 
 
 #: Fixed shard granularity of a round's micro-architectural simulation: its
 #: witnessable classes are merged, in plan order, into at most this many
-#: contiguous chunks (one fresh core each).  A fixed constant — never the
+#: contiguous chunks (one simulator start each).  A fixed constant — never the
 #: worker count — so the chunking, and with it every simulated trace, is
 #: byte-identical at any ``sim_workers`` setting.  Six chunks is the
 #: measured sweet spot for a 4-worker round: fewer pays too coarse an LPT
@@ -499,9 +453,9 @@ def chunk_classes(
 
     Returns at most ``max_chunks`` lists of entries (plan order preserved,
     classes never split), with chunk boundaries chosen greedily so chunks
-    carry roughly equal input counts.  Each chunk simulates on one fresh
-    core; predictor state carries across the chunk's inputs exactly as
-    AMuLeT-Opt carries it across a round — and since the chunking depends
+    carry roughly equal input counts.  Each chunk simulates on one freshly
+    started simulator; predictor state carries across the chunk's inputs as
+    AMuLeT-Opt carries it across one batch — and since the chunking depends
     only on the plan, results are independent of where chunks execute.
     """
     if not classes:
@@ -530,8 +484,7 @@ class ContractRunner:
 
     Caches one :class:`InputGenerator` per spec (sandboxes are per-spec) and
     one :class:`~repro.model.emulator.Emulator` per (spec, program_key), so
-    every base input of a round reuses the round's decoded/compiled program
-    — the same amortization the single-process contract loop gets.
+    every base input of a round reuses the round's decoded/compiled program.
     """
 
     def __init__(self) -> None:
@@ -583,30 +536,34 @@ class ContractRunner:
         )
 
 
-def run_contract_tasks_inline(
-    tasks: Sequence[ContractTask], runner: Optional[ContractRunner] = None
-) -> List[ContractOutcome]:
-    """The inline fallback for contract-pass shards (serial, same results)."""
-    if runner is None:
-        runner = ContractRunner()
-    return [runner.run(task) for task in tasks]
-
-
 # ---------------------------------------------------------------------------
 # the worker pool
 # ---------------------------------------------------------------------------
 
 
+def _full_records(
+    records: Sequence[ExecutionRecord], indices: Sequence[int]
+) -> Dict[int, FullRecord]:
+    """The second-pass payload for selected records of one task."""
+    return {
+        index: FullRecord(
+            trace=records[index].trace,
+            uarch_context=records[index].materialized_context(),
+            result=records[index].result,
+        )
+        for index in indices
+    }
+
+
 def _sim_worker_main(
     worker_index: int, generation: int, task_queue, result_queue
 ) -> None:
-    """Worker loop: simulate task batches, serve second-pass fetches.
+    """Worker loop: run simulation and contract shards, serve fetches.
 
-    ``generation`` counts this slot's incarnations: it rides along on every
-    result so the supervisor can tell live messages from a replaced
-    incarnation's stragglers, and it keys deterministic fault injection
-    (a fault matched on ``generation: 0`` dies once and lets the respawn
-    replay the task cleanly).
+    Every reply is ``(kind, worker_index, generation, task_id, payload,
+    buffers)``.  ``generation`` counts this slot's incarnations (see
+    :class:`~repro.backends.supervision.WorkerSlot`) and keys deterministic
+    fault injection.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Forked workers inherit the parent's parsed plan; re-read the
@@ -619,106 +576,67 @@ def _sim_worker_main(
     while True:
         message = task_queue.get()
         kind = message[0]
+        if kind == "stop":
+            return
         try:
-            if kind == "sim":
-                tasks: List[SimulationTask] = loads_oob(message[1], message[2])
-                for task in tasks:
-                    context = {
-                        "worker": worker_index,
-                        "task": task.task_id,
-                        "generation": generation,
-                    }
-                    plan.maybe_delay("sim_worker", **context)
-                    plan.maybe_kill("sim_worker", **context)
-                    result, records = run_simulation_task(task, executors)
-                    held[task.task_id] = records
-                    payload = pickle.dumps(result, protocol=5)
-                    result_queue.put(("result", worker_index, generation, payload))
-            elif kind == "contract":
-                contract_tasks: List[ContractTask] = loads_oob(
-                    message[1], message[2]
-                )
-                for contract_task in contract_tasks:
-                    context = {
-                        "worker": worker_index,
-                        "task": contract_task.task_id,
-                        "generation": generation,
-                    }
-                    plan.maybe_delay("sim_contract", **context)
-                    plan.maybe_kill("sim_contract", **context)
-                    outcome = contract_runner.run(contract_task)
-                    payload, buffers = dumps_oob(outcome)
-                    result_queue.put(
-                        ("cresult", worker_index, generation, payload, buffers)
-                    )
-            elif kind == "fetch":
-                task_id, indices = message[1], message[2]
-                records = held[task_id]
-                full = {
-                    index: FullRecord(
-                        trace=records[index].trace,
-                        uarch_context=records[index].materialized_context(),
-                        result=records[index].result,
-                    )
-                    for index in indices
-                }
-                payload = pickle.dumps(full, protocol=5)
-                result_queue.put(
-                    ("full", worker_index, generation, task_id, payload)
-                )
-            elif kind == "release":
+            if kind == "release":
                 for task_id in message[1]:
                     held.pop(task_id, None)
-            elif kind == "stop":
-                return
+                continue
+            if kind == "fetch":
+                task_id = message[1]
+                reply = dumps_oob(_full_records(held[task_id], message[2]))
+                result_queue.put((kind, worker_index, generation, task_id, *reply))
+                continue
+            site = "sim_worker" if kind == "sim" else "sim_contract"
+            for task in loads_oob(message[1], message[2]):
+                context = {
+                    "worker": worker_index,
+                    "task": task.task_id,
+                    "generation": generation,
+                }
+                plan.maybe_delay(site, **context)
+                plan.maybe_kill(site, flush=result_queue, **context)
+                if kind == "sim":
+                    outcome = run_simulation_task(task, executors)
+                    held[task.task_id] = outcome.records
+                    outcome.records = [
+                        CompactRecord.from_record(record) for record in outcome.records
+                    ]
+                else:
+                    outcome = contract_runner.run(task)
+                reply = dumps_oob(outcome)
+                result_queue.put((kind, worker_index, generation, task.task_id, *reply))
         except BaseException:
-            result_queue.put(("error", worker_index, traceback.format_exc()))
-
-
-class _SimWorkerSlot:
-    """One supervised worker position: a process plus its incarnation state."""
-
-    __slots__ = (
-        "index",
-        "process",
-        "task_queue",
-        "generation",
-        "retries",
-        "last_activity",
-        "disabled",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process = None
-        self.task_queue = None
-        self.generation = -1
-        self.retries = 0
-        self.last_activity = 0.0
-        self.disabled = False
+            result_queue.put(
+                ("error", worker_index, generation, None, traceback.format_exc(), [])
+            )
 
 
 class SimWorkerPool:
     """A supervised, persistent pool of simulation workers.
 
     Tasks are assigned with a deterministic longest-processing-time
-    heuristic (estimated by input count), one batched message per worker per
-    round; results stream back over a shared queue and are re-ordered by
-    task id.  The pool remembers which worker incarnation ran which task so
-    the second-pass ``fetch`` can be targeted.
+    heuristic (:meth:`SimulationTask.weight` / :meth:`ContractTask.weight`),
+    one batched message per worker per dispatch; results stream back over a
+    shared queue and are re-ordered by task id.  The pool remembers which
+    worker incarnation ran which task so the second-pass ``fetch`` can be
+    targeted.
 
-    Supervision: the collect loops poll the result queue and, while idle,
-    check each busy slot for death (or a ``task_timeout_seconds`` deadline
-    overrun, which force-kills the straggler).  A lost slot is respawned
-    with exponential backoff — a fresh incarnation with a fresh task queue —
-    and its outstanding tasks are re-dispatched; because every task is a
-    pure function of its payload, replayed results are byte-identical and
-    stale duplicates from the dead incarnation are simply dropped.  Beyond
-    ``max_retries`` respawns a slot is disabled; once every slot is
-    disabled, remaining tasks run inline on the coordinator (still in the
-    compact-record shape, so a round never mixes digest and full traces).
-    Full records lost with a dead incarnation are re-simulated inline on
-    fetch from the coordinator-retained task payloads.
+    Supervision (:mod:`repro.backends.supervision`): one collect loop serves
+    simulation shards, contract shards and fetches alike.  While the result
+    queue is idle it checks each slot that owes results for death (or a
+    ``task_timeout_seconds`` deadline overrun, which force-kills the
+    straggler).  A lost slot is respawned with exponential backoff — a
+    fresh incarnation with a fresh task queue — and its outstanding tasks
+    are re-dispatched; because every task is a pure function of its
+    payload, replayed results are byte-identical and stale duplicates from
+    the dead incarnation are simply dropped.  Beyond ``max_retries``
+    respawns a slot is disabled; once every slot is disabled, remaining
+    tasks run inline on the coordinator (still in the compact-record shape,
+    so a round never mixes digest and full traces).  Full records lost with
+    a dead incarnation are re-simulated inline on fetch from the
+    coordinator-retained task payloads.
     """
 
     def __init__(
@@ -736,9 +654,11 @@ class SimWorkerPool:
         self.task_timeout_seconds = task_timeout_seconds
         self._context = multiprocessing.get_context()
         self._results = self._context.Queue()
-        self._slots = [_SimWorkerSlot(index) for index in range(workers)]
+        #: Slot index -> the task queue of its current incarnation.
+        self._queues: Dict[int, object] = {}
+        self._slots = [WorkerSlot(index, self._start_worker) for index in range(workers)]
         for slot in self._slots:
-            self._spawn(slot)
+            slot.spawn()
         #: task_id -> (slot index, generation) of the incarnation holding the
         #: task's full records (set when the result is accepted).
         self._task_worker: Dict[int, Tuple[int, int]] = {}
@@ -748,12 +668,8 @@ class SimWorkerPool:
         #: Full records produced on the coordinator (inline degradation or
         #: fetch-time re-simulation), served directly by ``fetch``.
         self._local_records: Dict[int, List[ExecutionRecord]] = {}
-        #: Tasks whose worker-held records died with their incarnation.
-        self._lost_records: Set[int] = set()
-        #: Salvaged messages drained ahead of loss handling, consumed first.
-        self._backlog: List[tuple] = []
         self._inline_executors: Dict[ExecutorSpec, SimulatorExecutor] = {}
-        self._inline_contract_runner: Optional[ContractRunner] = None
+        self._inline_contract_runner = ContractRunner()
         self._closed = False
         #: Cumulative transport accounting (read by benchmarks/reports).
         self.sent_bytes = 0
@@ -773,18 +689,17 @@ class SimWorkerPool:
         self.fault_counters[reason] = self.fault_counters.get(reason, 0) + count
 
     # -- worker lifecycle -----------------------------------------------------
-    def _spawn(self, slot: _SimWorkerSlot) -> None:
-        """Start a fresh incarnation in ``slot`` (its own new task queue)."""
-        old_queue = slot.task_queue
-        slot.generation += 1
-        slot.task_queue = self._context.Queue()
-        slot.process = self._context.Process(
+    def _start_worker(self, slot: WorkerSlot):
+        """Start ``slot``'s new incarnation on a fresh task queue."""
+        old_queue = self._queues.get(slot.index)
+        task_queue = self._context.Queue()
+        self._queues[slot.index] = task_queue
+        process = self._context.Process(
             target=_sim_worker_main,
-            args=(slot.index, slot.generation, slot.task_queue, self._results),
+            args=(slot.index, slot.generation, task_queue, self._results),
             daemon=True,
         )
-        slot.process.start()
-        slot.last_activity = time.monotonic()
+        process.start()
         if old_queue is not None:
             # The dead incarnation's queue (and whatever undelivered messages
             # it still holds) is abandoned; free its feeder thread.
@@ -792,342 +707,192 @@ class SimWorkerPool:
                 old_queue.close()
             except (ValueError, OSError):  # pragma: no cover - teardown race
                 pass
+        return process
 
-    def _enabled_slots(self) -> List[_SimWorkerSlot]:
-        return [slot for slot in self._slots if not slot.disabled]
-
-    def _supervise_slot(self, slot: _SimWorkerSlot, reason: str) -> None:
-        """A slot's incarnation was lost: account, invalidate, respawn/disable."""
+    def _lose(self, slot: WorkerSlot, reason: str) -> None:
+        """An incarnation was lost: count it, forget its records, respawn."""
         self._count_fault(reason)
-        # Full records held by the dying incarnation are gone; remember the
-        # task ids so fetch falls back to inline re-simulation.
-        for task_id, (index, generation) in list(self._task_worker.items()):
-            if index == slot.index and generation == slot.generation:
+        incarnation = (slot.index, slot.generation)
+        for task_id, holder in list(self._task_worker.items()):
+            if holder == incarnation:
                 del self._task_worker[task_id]
-                self._lost_records.add(task_id)
-        slot.retries += 1
-        if slot.retries > self.max_retries:
-            slot.disabled = True
-        else:
-            time.sleep(self.retry_backoff_seconds * (2 ** (slot.retries - 1)))
-            self._spawn(slot)
+        slot.respawn(self.max_retries, self.retry_backoff_seconds)
 
     # -- scheduling -----------------------------------------------------------
-    def _dispatch(self, kind: str, tasks: Sequence, weight, pending, assignment):
-        """LPT-shard ``tasks`` across the enabled slots and send the shards."""
-        enabled = self._enabled_slots()
-        order = sorted(
-            range(len(tasks)), key=lambda i: (-weight(tasks[i]), tasks[i].task_id)
-        )
+    def _dispatch(self, kind: str, tasks: Sequence, pending, assignment, outcomes) -> None:
+        """LPT-shard ``tasks`` across the enabled slots (inline if none is)."""
+        enabled = [slot for slot in self._slots if not slot.disabled]
+        if not enabled:
+            self._count_fault("sim_inline_fallback", len(tasks))
+            for task in tasks:
+                del pending[task.task_id]
+                outcomes[task.task_id] = self._run_inline(kind, task)
+            return
         loads = [0] * len(enabled)
         shards: List[List] = [[] for _ in enabled]
-        for index in order:
+        for task in sorted(tasks, key=lambda task: (-task.weight(), task.task_id)):
             target = loads.index(min(loads))
-            shards[target].append(tasks[index])
-            loads[target] += max(1, weight(tasks[index]))
+            shards[target].append(task)
+            loads[target] += max(1, task.weight())
         for slot, shard in zip(enabled, shards):
             if not shard:
                 continue
             payload, buffers = dumps_oob(shard)
             self.sent_bytes += len(payload) + sum(len(buffer) for buffer in buffers)
-            slot.task_queue.put((kind, payload, buffers))
-            slot.last_activity = time.monotonic()
+            self._queues[slot.index].put((kind, payload, buffers))
+            slot.touch()
             for task in shard:
-                pending[task.task_id] = task
                 assignment[task.task_id] = (slot.index, slot.generation)
 
-    def _outstanding(self, slot: _SimWorkerSlot, pending, assignment) -> List[int]:
-        return [
-            task_id
-            for task_id in pending
-            if assignment.get(task_id) == (slot.index, slot.generation)
-        ]
+    def _collect(self, kind: str, pending: Dict[int, object], assignment, outcomes) -> None:
+        """Wait until nothing of ``kind`` is pending; supervise while idle.
 
-    def _next_message(self):
-        if self._backlog:
-            return self._backlog.pop(0)
-        return self._results.get(timeout=_POLL_SECONDS)
-
-    def _drain_into_backlog(self) -> bool:
-        drained = False
-        while True:
-            try:
-                self._backlog.append(self._results.get_nowait())
-                drained = True
-            except queue_module.Empty:
-                return drained
-
-    def _check_liveness(self, kind, pending, assignment, complete):
-        """Idle tick: detect dead/overdue slots, recover their outstanding work.
-
-        ``complete(task, outcome_or_none)`` finishes one task inline when no
-        worker can run it (outcome in the same compact shape as pooled ones).
+        ``pending`` maps task ids to what finishing them elsewhere takes
+        after a loss: the task itself, or a fetch's entry indices.
         """
-        now = time.monotonic()
-        for slot in self._slots:
-            if slot.disabled:
-                continue
-            outstanding = self._outstanding(slot, pending, assignment)
-            if not outstanding:
-                continue
-            reason = None
-            if not slot.process.is_alive():
-                reason = "sim_worker_death"
-            elif (
-                self.task_timeout_seconds is not None
-                and now - slot.last_activity > self.task_timeout_seconds
-            ):
-                slot.process.kill()
-                slot.process.join(timeout=5)
-                self.force_kills += 1
-                reason = "sim_deadline"
-            if reason is None:
-                continue
-            # Salvage results the incarnation sent before dying; process them
-            # first (duplicates of replayed tasks are dropped harmlessly, but
-            # completed work must not be replayed needlessly).
-            if self._drain_into_backlog():
-                return
-            self._supervise_slot(slot, reason)
-            for task_id in outstanding:
-                assignment.pop(task_id, None)
-            lost_tasks = [pending[task_id] for task_id in outstanding]
-            if self._enabled_slots():
-                weight = (
-                    (lambda task: len(task.inputs))
-                    if kind == "sim"
-                    else (lambda task: 1 + task.spec.boost_factor)
-                )
-                self._dispatch(kind, lost_tasks, weight, pending, assignment)
+
+        def owes_work(slot: WorkerSlot) -> bool:
+            incarnation = (slot.index, slot.generation)
+            return any(assignment.get(task_id) == incarnation for task_id in pending)
+
+        def handle(message) -> None:
+            tag, worker_index, generation, task_id, payload, buffers = message
+            if tag == "error":
+                raise RuntimeError(f"simulation worker failed:\n{payload}")
+            slot = self._slots[worker_index]
+            if generation == slot.generation:
+                slot.touch()
+            if tag != kind or task_id not in pending:
+                return  # a replaced incarnation's straggler, or a replay
+            del pending[task_id]
+            outcomes[task_id] = self._accept(
+                kind, (worker_index, generation), task_id, payload, buffers
+            )
+
+        def drain() -> None:
+            while True:
+                try:
+                    message = self._results.get_nowait()
+                except queue_module.Empty:
+                    return
+                handle(message)
+
+        def on_loss(slot: WorkerSlot, reason: str) -> None:
+            incarnation = (slot.index, slot.generation)
+            lost = [task_id for task_id in pending if assignment.get(task_id) == incarnation]
+            self._lose(slot, "sim_" + reason)
+            if kind == "fetch":
+                for task_id in lost:
+                    outcomes[task_id] = self._fetch_local(task_id, pending.pop(task_id))
             else:
-                self._count_fault("sim_inline_fallback", len(lost_tasks))
-                for task in lost_tasks:
-                    del pending[task.task_id]
-                    complete(task)
-            return
+                self._dispatch(
+                    kind, [pending[task_id] for task_id in lost], pending, assignment, outcomes
+                )
+
+        while pending:
+            try:
+                message = self._results.get(timeout=POLL_SECONDS)
+            except queue_module.Empty:
+                self.force_kills += supervise(
+                    self._slots, self.task_timeout_seconds, owes_work, drain, on_loss
+                )
+                continue
+            handle(message)
+
+    def _accept(self, kind: str, holder: Tuple[int, int], task_id: int, payload, buffers):
+        """Decode one worker reply and account its bytes."""
+        size = len(payload) + sum(len(buffer) for buffer in buffers)
+        result = loads_oob(payload, buffers)
+        if kind == "fetch":
+            self.fetch_bytes += size
+            self.fetched_entries += len(result)
+            return result
+        self.result_bytes += size
+        result.pooled = True
+        if kind == "sim":
+            self._task_worker[task_id] = holder
+            result.compact_bytes = size
+            result.records = [
+                RemoteRecord(task_id, index, compact)
+                for index, compact in enumerate(result.records)
+            ]
+        return result
 
     # -- inline degradation ---------------------------------------------------
-    def _run_sim_inline(self, task: SimulationTask) -> TaskOutcome:
-        """Run one task on the coordinator, in the pooled compact shape.
+    def _run_inline(self, kind: str, task):
+        """Run one task on the coordinator, in the pooled result shape.
 
-        The outcome carries :class:`RemoteRecord`\\ s (digest traces), never
-        full records — a round must stay all-digest — with the full records
-        retained locally so ``fetch`` serves them without a worker.
+        A simulation outcome carries :class:`RemoteRecord`\\ s (digest
+        traces), never full records — a round must stay all-digest — with
+        the full records retained locally so ``fetch`` serves them.
         """
-        result, records = run_simulation_task(task, self._inline_executors)
-        self._local_records[task.task_id] = records
-        return TaskOutcome(
-            task_id=result.task_id,
-            records=[
-                RemoteRecord(result.task_id, index, compact)
-                for index, compact in enumerate(result.compact)
-            ],
-            modeled_seconds=result.modeled_seconds,
-            wall_clock_seconds=result.wall_clock_seconds,
-            simulator_starts=result.simulator_starts,
-            pooled=False,
-            elapsed_seconds=result.elapsed_seconds,
-        )
-
-    def _run_contract_inline(self, task: ContractTask) -> ContractOutcome:
-        if self._inline_contract_runner is None:
-            self._inline_contract_runner = ContractRunner()
-        return self._inline_contract_runner.run(task)
+        if kind == "contract":
+            return self._inline_contract_runner.run(task)
+        outcome = run_simulation_task(task, self._inline_executors)
+        self._local_records[task.task_id] = outcome.records
+        outcome.records = [
+            RemoteRecord(task.task_id, index, CompactRecord.from_record(record))
+            for index, record in enumerate(outcome.records)
+        ]
+        return outcome
 
     def _fetch_local(self, task_id: int, indices: Sequence[int]) -> Dict[int, FullRecord]:
         records = self._local_records.get(task_id)
         if records is None:
             task = self._retained.get(task_id)
             if task is None:
-                raise KeyError(
-                    f"simulation task {task_id} is no longer retained"
-                )
+                raise KeyError(f"simulation task {task_id} is no longer retained")
             self._count_fault("sim_refetch_resimulated")
-            _, records = run_simulation_task(task, self._inline_executors)
+            records = run_simulation_task(task, self._inline_executors).records
             self._local_records[task_id] = records
         self.fetched_entries += len(indices)
-        return {
-            index: FullRecord(
-                trace=records[index].trace,
-                uarch_context=records[index].materialized_context(),
-                result=records[index].result,
-            )
-            for index in indices
-        }
+        return _full_records(records, indices)
 
     # -- public API -----------------------------------------------------------
-    def map(self, tasks: Sequence[SimulationTask]) -> List[TaskOutcome]:
-        """Shard ``tasks`` across the workers; outcomes in task order."""
+    def _map(self, kind: str, tasks: Sequence) -> List:
         if self._closed:
             raise RuntimeError("simulation pool is closed")
-        if not tasks:
-            return []
+        outcomes: Dict[int, object] = {}
+        pending = {task.task_id: task for task in tasks}
+        assignment: Dict[int, Tuple[int, int]] = {}
+        self._dispatch(kind, list(tasks), pending, assignment, outcomes)
+        self._collect(kind, pending, assignment, outcomes)
+        return [outcomes[task.task_id] for task in tasks]
+
+    def map(self, tasks: Sequence[SimulationTask]) -> List[TaskOutcome]:
+        """Shard simulation tasks across the workers; outcomes in task order."""
         for task in tasks:
             self._retained[task.task_id] = task
-        outcomes: Dict[int, TaskOutcome] = {}
-        pending: Dict[int, SimulationTask] = {}
-        assignment: Dict[int, Tuple[int, int]] = {}
-        if self._enabled_slots():
-            self._dispatch(
-                "sim", list(tasks), lambda task: len(task.inputs), pending, assignment
-            )
-        else:
-            self._count_fault("sim_inline_fallback", len(tasks))
-            for task in tasks:
-                outcomes[task.task_id] = self._run_sim_inline(task)
-        while len(outcomes) < len(tasks):
-            try:
-                message = self._next_message()
-            except queue_module.Empty:
-                self._check_liveness(
-                    "sim",
-                    pending,
-                    assignment,
-                    lambda task: outcomes.__setitem__(
-                        task.task_id, self._run_sim_inline(task)
-                    ),
-                )
-                continue
-            if message[0] == "error":
-                raise RuntimeError(f"simulation worker failed:\n{message[2]}")
-            if message[0] != "result":
-                continue  # a replaced incarnation's stale cross-kind straggler
-            _, worker_index, generation, payload = message
-            slot = self._slots[worker_index]
-            if generation == slot.generation:
-                slot.last_activity = time.monotonic()
-            result: TaskResult = pickle.loads(payload)
-            if result.task_id not in pending:
-                continue  # duplicate of a re-dispatched task
-            del pending[result.task_id]
-            self.result_bytes += len(payload)
-            self._task_worker[result.task_id] = (worker_index, generation)
-            outcomes[result.task_id] = TaskOutcome(
-                task_id=result.task_id,
-                records=[
-                    RemoteRecord(result.task_id, index, compact)
-                    for index, compact in enumerate(result.compact)
-                ],
-                modeled_seconds=result.modeled_seconds,
-                wall_clock_seconds=result.wall_clock_seconds,
-                simulator_starts=result.simulator_starts,
-                pooled=True,
-                compact_bytes=len(payload),
-                elapsed_seconds=result.elapsed_seconds,
-            )
-        return [outcomes[task.task_id] for task in tasks]
+        return self._map("sim", tasks)
 
     def map_contract(self, tasks: Sequence[ContractTask]) -> List[ContractOutcome]:
         """Shard contract-pass tasks across the workers; outcomes in order.
 
-        Contract tasks have no second pass — nothing is held worker-side —
-        so task ids are not registered for fetch/release.
+        Contract tasks have no second pass: nothing is held worker-side.
         """
-        if self._closed:
-            raise RuntimeError("simulation pool is closed")
-        if not tasks:
-            return []
-        outcomes: Dict[int, ContractOutcome] = {}
-        pending: Dict[int, ContractTask] = {}
-        assignment: Dict[int, Tuple[int, int]] = {}
-        if self._enabled_slots():
-            self._dispatch(
-                "contract",
-                list(tasks),
-                lambda task: 1 + task.spec.boost_factor,
-                pending,
-                assignment,
-            )
-        else:
-            self._count_fault("sim_inline_fallback", len(tasks))
-            for task in tasks:
-                outcomes[task.task_id] = self._run_contract_inline(task)
-        while len(outcomes) < len(tasks):
-            try:
-                message = self._next_message()
-            except queue_module.Empty:
-                self._check_liveness(
-                    "contract",
-                    pending,
-                    assignment,
-                    lambda task: outcomes.__setitem__(
-                        task.task_id, self._run_contract_inline(task)
-                    ),
-                )
-                continue
-            if message[0] == "error":
-                raise RuntimeError(f"simulation worker failed:\n{message[2]}")
-            if message[0] != "cresult":
-                continue
-            _, worker_index, generation, payload, buffers = message
-            slot = self._slots[worker_index]
-            if generation == slot.generation:
-                slot.last_activity = time.monotonic()
-            outcome: ContractOutcome = loads_oob(payload, buffers)
-            if outcome.task_id not in pending:
-                continue
-            del pending[outcome.task_id]
-            self.result_bytes += len(payload) + sum(
-                len(buffer) for buffer in buffers
-            )
-            outcome.pooled = True
-            outcomes[outcome.task_id] = outcome
-        return [outcomes[task.task_id] for task in tasks]
+        return self._map("contract", tasks)
 
     def fetch(self, task_id: int, indices: Sequence[int]) -> Dict[int, FullRecord]:
         """Second pass: full records for selected entries of a past task.
 
-        Served by the worker incarnation that ran the task when it is still
-        alive; otherwise re-simulated inline from the retained task payload
+        Served by the worker incarnation that ran the task while it lives;
+        otherwise re-simulated inline from the retained task payload
         (byte-identical records — the task is a pure function).
         """
-        if task_id in self._local_records or task_id in self._lost_records:
-            return self._fetch_local(task_id, indices)
-        worker_index, generation = self._task_worker[task_id]
-        slot = self._slots[worker_index]
+        holder = self._task_worker.get(task_id)
+        slot = self._slots[holder[0]] if holder is not None else None
         if (
-            slot.disabled
-            or slot.generation != generation
+            slot is None
+            or slot.disabled
+            or slot.generation != holder[1]
             or not slot.process.is_alive()
         ):
-            self._lost_records.add(task_id)
             return self._fetch_local(task_id, indices)
-        slot.task_queue.put(("fetch", task_id, list(indices)))
-        slot.last_activity = time.monotonic()
-        while True:
-            try:
-                message = self._next_message()
-            except queue_module.Empty:
-                reason = None
-                if not slot.process.is_alive():
-                    reason = "sim_worker_death"
-                elif (
-                    self.task_timeout_seconds is not None
-                    and time.monotonic() - slot.last_activity
-                    > self.task_timeout_seconds
-                ):
-                    slot.process.kill()
-                    slot.process.join(timeout=5)
-                    self.force_kills += 1
-                    reason = "sim_deadline"
-                if reason is None:
-                    continue
-                if self._drain_into_backlog():
-                    # The reply may be among the salvaged messages; the death
-                    # itself is handled on the next idle tick.
-                    continue
-                self._supervise_slot(slot, reason)
-                self._lost_records.add(task_id)
-                return self._fetch_local(task_id, indices)
-            if message[0] == "error":
-                raise RuntimeError(f"simulation worker failed:\n{message[2]}")
-            if message[0] != "full" or message[3] != task_id:
-                continue  # stale straggler from a replaced incarnation
-            payload = message[4]
-            self.fetch_bytes += len(payload)
-            full: Dict[int, FullRecord] = pickle.loads(payload)
-            self.fetched_entries += len(full)
-            return full
+        self._queues[slot.index].put(("fetch", task_id, list(indices)))
+        slot.touch()
+        outcomes: Dict[int, Dict[int, FullRecord]] = {}
+        self._collect("fetch", {task_id: list(indices)}, {task_id: holder}, outcomes)
+        return outcomes[task_id]
 
     def release(self, task_ids: Sequence[int]) -> None:
         """Drop everything retained for finished tasks (worker- and local-side).
@@ -1143,9 +908,9 @@ class SimWorkerPool:
             self._task_worker.pop(task_id, None)
             self._retained.pop(task_id, None)
             self._local_records.pop(task_id, None)
-            self._lost_records.discard(task_id)
-        for slot in self._enabled_slots():
-            slot.task_queue.put(("release", ids))
+        for slot in self._slots:
+            if not slot.disabled:
+                self._queues[slot.index].put(("release", ids))
 
     def close(self) -> None:
         if self._closed:
@@ -1155,17 +920,12 @@ class SimWorkerPool:
             if slot.disabled:
                 continue
             try:
-                slot.task_queue.put(("stop",))
+                self._queues[slot.index].put(("stop",))
             except (ValueError, OSError):  # pragma: no cover - teardown race
                 pass
         for slot in self._slots:
-            slot.process.join(timeout=10)
-        for slot in self._slots:
-            if slot.process.is_alive():  # pragma: no cover - last resort
-                slot.process.terminate()
-                slot.process.join(timeout=5)
-                self.force_kills += 1
-        for handle in [slot.task_queue for slot in self._slots] + [self._results]:
+            self.force_kills += slot.stop()
+        for handle in [*self._queues.values(), self._results]:
             handle.close()
             handle.join_thread()
 
@@ -1222,44 +982,35 @@ atexit.register(shutdown_pool)
 
 
 class SimulationRouter:
-    """Routes one fuzzer's round shards to the pool or the inline fallback.
+    """Runs one fuzzer's round shards inline or on the worker pool.
 
-    ``sim_workers`` semantics (mirrors ``FuzzerConfig.sim_workers``):
-
-    * ``None`` — routing disabled; the fuzzer keeps the seed execution path
-      (one shared simulator per program in Opt mode).
-    * ``0`` — class-sharded execution on the calling thread (the inline
-      fallback of ``map_simulations``): same per-class fresh-simulator
-      semantics as the pool, zero concurrency, zero IPC.
-    * ``>= 1`` — class-sharded execution across that many persistent worker
-      processes with compact trace transport.
-
-    Results are byte-identical across all sharded settings.  Inside a
-    daemonic process (a pooled campaign worker cannot spawn children) the
-    router silently downgrades to the inline fallback — same results.
+    ``sim_workers`` (mirrors ``FuzzerConfig.sim_workers``) is ``0`` for
+    shards run on the calling thread — no processes, no IPC, full records —
+    or ``>= 1`` for that many persistent worker processes with compact
+    trace transport.  Either way the same chunks run on freshly started
+    simulators, so results are byte-identical at every setting.  Inside a
+    daemonic process (a pooled campaign worker cannot spawn children) a
+    pooled setting runs inline instead — same results.
     """
 
     def __init__(
         self,
-        sim_workers: Optional[int],
+        sim_workers: int = 0,
         max_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
         task_timeout_seconds: Optional[float] = None,
     ) -> None:
-        if sim_workers is not None and sim_workers < 0:
-            raise ValueError("sim_workers must be >= 0 (or None to disable)")
+        if sim_workers < 0:
+            raise ValueError("sim_workers must be >= 0")
         self.requested = sim_workers
         self.max_retries = max_retries
         self.retry_backoff_seconds = retry_backoff_seconds
         self.task_timeout_seconds = task_timeout_seconds
         self.fallback_reason: Optional[str] = None
-        if sim_workers:
-            if multiprocessing.current_process().daemon:
-                self.fallback_reason = "daemonic process cannot spawn sim workers"
-            elif os.environ.get(FORCE_INLINE_ENV):
-                self.fallback_reason = f"{FORCE_INLINE_ENV} set"
-        self._inline_executors: Dict[ExecutorSpec, SimulatorExecutor] = {}
-        self._inline_contract_runner: Optional[ContractRunner] = None
+        if sim_workers and multiprocessing.current_process().daemon:
+            self.fallback_reason = "daemonic process cannot spawn sim workers"
+        self._executors: Dict[ExecutorSpec, SimulatorExecutor] = {}
+        self._contract_runner = ContractRunner()
         #: The pool this router dispatches through, pinned at first use.  A
         #: router must keep using one pool object for its whole life: the
         #: pool retains task payloads and locally re-simulated records that
@@ -1267,24 +1018,16 @@ class SimulationRouter:
         #: mid-round (e.g. ``get_pool`` replacing a degraded pool) would
         #: lose them.
         self._pool_instance: Optional[SimWorkerPool] = None
-        # The pool's supervision counters are process-wide and cumulative;
-        # baseline them when the pool is acquired so this fuzzer's report
-        # only carries faults that happened on its own watch.  ``_carry``
-        # accumulates deltas from pools this router used that were since
-        # closed and replaced.
-        self._fault_baseline: Dict[str, int] = {}
-        self._force_kill_baseline = 0
-        self._fault_carry: Dict[str, int] = {}
-        self._force_kill_carry = 0
-        #: Per-task worker wall-clock seconds, in dispatch order (benchmarks
-        #: derive multi-core makespan projections from these).
-        self.task_seconds: List[float] = []
-        #: Per-dispatch task timings: one ``(kind, [seconds, ...])`` entry per
-        #: ``map``/``map_contract`` call.  Each dispatch is a barrier (a round
-        #: cannot simulate before its contract pass returns), so an honest
-        #: multi-worker makespan projection is per-dispatch LPT, not one
-        #: global LPT over every task of the campaign.
-        self.dispatch_log: List[Tuple[str, List[float]]] = []
+        #: Supervision events of the (process-wide) pool that happened
+        #: during this router's calls.
+        self.faults: Dict[str, int] = {}
+        self.force_kills = 0
+        #: Per-dispatch task timings, one entry per ``map``/``map_contract``
+        #: call.  Each dispatch is a barrier (a round cannot simulate before
+        #: its contract pass returns), so an honest multi-worker makespan
+        #: projection is per-dispatch LPT, not one global LPT over every
+        #: task of the campaign.
+        self.dispatches: List[Dict[str, object]] = []
         self.tasks_dispatched = 0
         self.pooled_tasks = 0
         self.contract_tasks_dispatched = 0
@@ -1293,87 +1036,58 @@ class SimulationRouter:
         self.contract_busy_seconds = 0.0
 
     @property
-    def active(self) -> bool:
-        return self.requested is not None
-
-    @property
     def pooled(self) -> bool:
-        return bool(self.requested) and self.fallback_reason is None
+        return self.requested > 0 and self.fallback_reason is None
 
-    def _pool_fault_deltas(self, pool: SimWorkerPool) -> Tuple[Dict[str, int], int]:
-        """This router's share of ``pool``'s cumulative supervision counters."""
-        deltas = {
-            reason: count - self._fault_baseline.get(reason, 0)
-            for reason, count in pool.fault_counters.items()
-            if count - self._fault_baseline.get(reason, 0) > 0
-        }
-        return deltas, max(0, pool.force_kills - self._force_kill_baseline)
-
-    def _pool(self) -> SimWorkerPool:
+    def _on_pool(self, call):
+        """``call(pool)``, charging the pool's supervision events to this router."""
         pool = self._pool_instance
-        if pool is not None and not pool._closed:
-            return pool
-        if pool is not None:
-            # The previous pool was closed under us (e.g. replaced after
-            # degradation); keep its fault deltas before re-baselining.
-            deltas, force_kills = self._pool_fault_deltas(pool)
-            for reason, count in deltas.items():
-                self._fault_carry[reason] = self._fault_carry.get(reason, 0) + count
-            self._force_kill_carry += force_kills
-        pool = get_pool(
-            self.requested,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
-            task_timeout_seconds=self.task_timeout_seconds,
+        if pool is None or pool._closed:
+            pool = self._pool_instance = get_pool(
+                self.requested,
+                max_retries=self.max_retries,
+                retry_backoff_seconds=self.retry_backoff_seconds,
+                task_timeout_seconds=self.task_timeout_seconds,
+            )
+        faults_before, force_kills_before = dict(pool.fault_counters), pool.force_kills
+        try:
+            return call(pool)
+        finally:
+            for reason, count in pool.fault_counters.items():
+                delta = count - faults_before.get(reason, 0)
+                if delta:
+                    self.faults[reason] = self.faults.get(reason, 0) + delta
+            self.force_kills += pool.force_kills - force_kills_before
+
+    def _log_dispatch(self, kind: str, outcomes: Sequence, started: float) -> float:
+        """Account one dispatch; returns its tasks' busy seconds."""
+        self.roundtrip_seconds += time.perf_counter() - started
+        timings = [outcome.busy_seconds() for outcome in outcomes]
+        self.pooled_tasks += sum(1 for outcome in outcomes if outcome.pooled)
+        self.dispatches.append(
+            {"kind": kind, "task_seconds": [round(seconds, 6) for seconds in timings]}
         )
-        self._pool_instance = pool
-        self._fault_baseline = dict(pool.fault_counters)
-        self._force_kill_baseline = pool.force_kills
-        return pool
+        return sum(timings)
 
     def map(self, tasks: Sequence[SimulationTask]) -> List[TaskOutcome]:
         started = time.perf_counter()
         if self.pooled:
-            outcomes = self._pool().map(tasks)
+            outcomes = self._on_pool(lambda pool: pool.map(tasks))
         else:
-            outcomes = run_tasks_inline(tasks, self._inline_executors)
-        roundtrip = time.perf_counter() - started
-        self.roundtrip_seconds += roundtrip
+            outcomes = [run_simulation_task(task, self._executors) for task in tasks]
         self.tasks_dispatched += len(tasks)
-        dispatch_seconds: List[float] = []
-        for outcome in outcomes:
-            busy = outcome.busy_seconds()
-            self.busy_seconds += busy
-            self.task_seconds.append(busy)
-            dispatch_seconds.append(busy)
-            if outcome.pooled:
-                self.pooled_tasks += 1
-        self.dispatch_log.append(("sim", dispatch_seconds))
+        self.busy_seconds += self._log_dispatch("sim", outcomes, started)
         return outcomes
 
     def map_contract(self, tasks: Sequence[ContractTask]) -> List[ContractOutcome]:
         started = time.perf_counter()
         if self.pooled:
-            outcomes = self._pool().map_contract(tasks)
+            outcomes = self._on_pool(lambda pool: pool.map_contract(tasks))
         else:
-            if self._inline_contract_runner is None:
-                self._inline_contract_runner = ContractRunner()
-            outcomes = run_contract_tasks_inline(
-                tasks, self._inline_contract_runner
-            )
-        roundtrip = time.perf_counter() - started
-        self.roundtrip_seconds += roundtrip
+            outcomes = [self._contract_runner.run(task) for task in tasks]
         self.contract_tasks_dispatched += len(tasks)
-        dispatch_seconds = [outcome.busy_seconds() for outcome in outcomes]
-        self.contract_busy_seconds += sum(dispatch_seconds)
-        self.pooled_tasks += sum(1 for outcome in outcomes if outcome.pooled)
-        self.dispatch_log.append(("contract", dispatch_seconds))
+        self.contract_busy_seconds += self._log_dispatch("contract", outcomes, started)
         return outcomes
-
-    def ipc_seconds(self, outcomes: Sequence[TaskOutcome], roundtrip: float) -> float:
-        """Transport overhead of one dispatch: round-trip minus worker busy."""
-        busy = sum(outcome.busy_seconds() for outcome in outcomes)
-        return max(0.0, roundtrip - busy)
 
     def materialize_entries(self, entries) -> None:
         """Second pass: swap compact witness records for full ones in place.
@@ -1388,15 +1102,15 @@ class SimulationRouter:
             if isinstance(record, RemoteRecord) and record.pending:
                 by_task.setdefault(record.task_id, []).append(entry)
         for task_id, task_entries in by_task.items():
-            full = self._pool().fetch(
-                task_id, [entry.record.input_index for entry in task_entries]
-            )
+            indices = [entry.record.input_index for entry in task_entries]
+            full = self._on_pool(lambda pool: pool.fetch(task_id, indices))
             for entry in task_entries:
                 entry.record.apply_full(full[entry.record.input_index])
 
     def release(self, task_ids: Sequence[int]) -> None:
-        if self.pooled and task_ids:
-            self._pool().release(task_ids)
+        pool = self._pool_instance
+        if pool is not None and not pool._closed:
+            pool.release(task_ids)
 
     def stats(self) -> Dict[str, object]:
         """Transport/scheduling counters mirrored into ``FuzzerReport``."""
@@ -1409,39 +1123,22 @@ class SimulationRouter:
             "roundtrip_seconds": round(self.roundtrip_seconds, 6),
             "busy_seconds": round(self.busy_seconds, 6),
             "contract_busy_seconds": round(self.contract_busy_seconds, 6),
-            "task_seconds": [round(seconds, 6) for seconds in self.task_seconds],
-            "dispatches": [
-                {
-                    "kind": kind,
-                    "task_seconds": [round(seconds, 6) for seconds in timings],
-                }
-                for kind, timings in self.dispatch_log
-            ],
+            "dispatches": list(self.dispatches),
         }
         if self.fallback_reason:
             payload["fallback_reason"] = self.fallback_reason
-        if self.pooled:
-            pool = self._pool_instance if self._pool_instance is not None else _POOL
-            if pool is not None:
-                payload.update(
-                    sent_bytes=pool.sent_bytes,
-                    result_bytes=pool.result_bytes,
-                    fetch_bytes=pool.fetch_bytes,
-                    fetched_entries=pool.fetched_entries,
-                )
-                deltas, force_kills = (
-                    self._pool_fault_deltas(pool)
-                    if pool is self._pool_instance
-                    else ({}, 0)
-                )
-                faults = dict(self._fault_carry)
-                for reason, count in deltas.items():
-                    faults[reason] = faults.get(reason, 0) + count
-                if faults:
-                    payload["faults"] = faults
-                force_kills += self._force_kill_carry
-                if force_kills > 0:
-                    payload["force_kills"] = force_kills
+        pool = self._pool_instance
+        if pool is not None:
+            payload.update(
+                sent_bytes=pool.sent_bytes,
+                result_bytes=pool.result_bytes,
+                fetch_bytes=pool.fetch_bytes,
+                fetched_entries=pool.fetched_entries,
+            )
+        if self.faults:
+            payload["faults"] = dict(self.faults)
+        if self.force_kills:
+            payload["force_kills"] = self.force_kills
         return payload
 
 
@@ -1461,12 +1158,9 @@ __all__ = [
     "SimulationRouter",
     "SimulationTask",
     "TaskOutcome",
-    "TaskResult",
     "dumps_oob",
     "get_pool",
     "loads_oob",
-    "run_contract_tasks_inline",
     "run_simulation_task",
-    "run_tasks_inline",
     "shutdown_pool",
 ]

@@ -114,11 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sim-workers",
         type=int,
-        default=None,
-        help="shard each round's contract-equivalence classes across this "
-        "many persistent simulation workers (0: sharded but inline; "
-        "default: unsharded seed execution path); results are identical "
-        "at any setting",
+        default=0,
+        help="run each round's simulation chunks across this many "
+        "persistent simulation workers (default 0: inline, no processes); "
+        "results are identical at any setting",
     )
     fault_group = parser.add_argument_group(
         "fault tolerance",
@@ -333,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--backend inline cannot be combined with --workers > 1 or --parallel")
     if args.chunk_size < 1:
         parser.error("--chunk-size must be at least 1")
-    if args.sim_workers is not None and args.sim_workers < 0:
+    if args.sim_workers < 0:
         parser.error("--sim-workers must be at least 0")
     if args.instances < 1:
         parser.error("--instances must be at least 1")

@@ -38,10 +38,10 @@ from repro.core.io import atomic_write_json, load_json
 CHECKPOINT_FORMAT = "amulet-checkpoint-v1"
 
 #: Config fields that do not affect campaign *results* (scheduling and
-#: supervision knobs; results are backend-independent by contract), excluded
-#: from the fingerprint so a checkpoint taken under ``--backend pool`` can
-#: be resumed inline, with different worker counts, or with different retry
-#: budgets.
+#: supervision knobs; results are backend- and ``sim_workers``-independent
+#: by contract), excluded from the fingerprint so a checkpoint taken under
+#: ``--backend pool`` can be resumed inline, with different (simulation)
+#: worker counts, or with different retry budgets.
 _EXECUTION_ONLY_FIELDS = (
     "backend",
     "workers",

@@ -32,7 +32,6 @@ from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.startup import (
     CONTRACT_TRACES,
     IPC_TRANSPORT,
-    OTHERS,
     TEST_GENERATION,
 )
 from repro.feedback.corpus import Corpus, CorpusEntry
@@ -45,7 +44,6 @@ from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
 from repro.isa.specialized import stats_snapshot
 from repro.model.contracts import get_contract
-from repro.model.emulator import Emulator
 
 
 #: Process-unique keys identifying one instance-round's program to the
@@ -116,13 +114,14 @@ class FuzzerReport:
     #: Wall-clock seconds per round-pipeline phase ("generate", "contract",
     #: "simulate", "detect", "ipc"), measured around the phases themselves —
     #: this is where a speedup (or a regression) is attributable.  "ipc" is
-    #: the parallel layer's transport/stitching overhead; zero on the seed
-    #: path.
+    #: the dispatch round-trip not covered by the shards' own busy time:
+    #: transport and stitching with ``sim_workers >= 1``, the (small)
+    #: dispatch bookkeeping inline.
     phase_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Intra-round parallel-simulation counters (empty when ``sim_workers``
-    #: is None): tasks dispatched, pooled vs inline, transport bytes, and
-    #: per-task worker busy seconds (benchmarks derive multi-worker makespan
-    #: projections from the latter).
+    #: Round-shard counters from :class:`~repro.backends.simshard.SimulationRouter`:
+    #: tasks dispatched, pooled vs inline, transport bytes (pooled only),
+    #: and per-dispatch task busy seconds (benchmarks derive multi-worker
+    #: makespan projections from the latter).
     parallel_sim: Dict[str, object] = field(default_factory=dict)
     #: Specialization-cache counters accumulated while this instance ran
     #: (``cache_hits`` / ``cache_misses`` / ``compile_seconds`` /
@@ -226,9 +225,10 @@ class AmuletFuzzer:
         self.detector = ViolationDetector(config.defense, self.contract_name)
         self.scheduler = ExecutionScheduler(config.filter)
 
-        # Intra-round parallel simulation (inactive when sim_workers is None:
-        # the seed path above is the only executor).  Imported lazily — the
-        # backends package imports this module.
+        # Every round's contract pass and simulation run as shards through
+        # the router (inline or pooled, same answer); ``self.executor`` keeps
+        # the instance's time ledger and re-runs validations.  Imported
+        # lazily — the backends package imports this module.
         from repro.backends.simshard import ContractSpec, ExecutorSpec, SimulationRouter
 
         self.sim_router = SimulationRouter(
@@ -279,21 +279,7 @@ class AmuletFuzzer:
         # fully skipped round never starts a simulator (in Opt mode that is
         # the per-program gem5-startup charge).
         plan = self.scheduler.plan(test_case)
-        round_task_ids: List[int] = []
-        if plan.executable:
-            if self.sim_router.active:
-                round_task_ids = self._simulate_sharded(program, plan)
-            else:
-                simulate_started = time.perf_counter()
-                self.executor.load_program(program)
-                records = self.executor.run_batch(
-                    [entry.test_input for entry in plan.executable]
-                )
-                for entry, record in zip(plan.executable, records):
-                    entry.record = record
-                self._charge_phase(
-                    "simulate", time.perf_counter() - simulate_started
-                )
+        round_task_ids = self._simulate(program, plan) if plan.executable else []
         skip_counts = plan.skip_counts()
         if skip_counts:
             self.executor.record_skips(skip_counts)
@@ -301,11 +287,13 @@ class AmuletFuzzer:
 
         detect_started = time.perf_counter()
         violations = self.detector.detect(
-            test_case, classes=plan.classes, materialize=self._materialize_witnesses
+            test_case,
+            classes=plan.classes,
+            materialize=self.sim_router.materialize_entries,
         )
-        if violations and round_task_ids:
-            # Validation re-runs witness pairs on the instance executor, which
-            # never loaded this round's program on the sharded path.
+        if violations:
+            # Validation re-runs witness pairs on the instance executor,
+            # which has not loaded this round's program yet.
             self.executor.load_program(program)
         confirmed: List[Violation] = []
         for violation in violations:
@@ -406,8 +394,10 @@ class AmuletFuzzer:
         return self.report
 
     # -- checkpointing ------------------------------------------------------------------
-    #: Schema tag for :meth:`state_dict` payloads.
-    STATE_FORMAT = "amulet-instance-state-v1"
+    #: Schema tag for :meth:`state_dict` payloads.  v2: every round runs as
+    #: simulation chunks; a v1 state may hold rounds simulated on one shared
+    #: core per program, so resuming it would mix the two semantics.
+    STATE_FORMAT = "amulet-instance-state-v2"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.
@@ -520,20 +510,21 @@ class AmuletFuzzer:
             self.report.phase_breakdown.get(phase, 0.0) + seconds
         )
 
-    def _simulate_sharded(self, program, plan) -> List[int]:
-        """Fan the plan's contract-equivalence classes through the sim router.
+    def _simulate(self, program, plan) -> List[int]:
+        """Simulate the plan's executable entries through the sim router.
 
         The classes are merged into a fixed number of contiguous chunks
         (:func:`~repro.backends.simshard.chunk_classes` — a function of the
         plan alone, never of the worker count); each chunk becomes one
-        self-contained :class:`SimulationTask` simulated on a fresh core
-        wherever it lands, outcomes come back in task order, and the records
-        are stitched onto the plan's entries in place — so detection,
-        coverage and corpus results are byte-identical whatever the worker
-        count.  Worker time deltas are folded into this instance's ledgers;
-        the dispatch round-trip minus the workers' busy time is charged as
-        IPC transport.  Returns the round's task ids (the workers hold full
-        records for them until released).
+        self-contained :class:`SimulationTask`, simulated as one AMuLeT-Opt
+        batch on a freshly started simulator wherever it runs.  Outcomes
+        come back in task order and their records are stitched onto the
+        plan's entries in place — so detection, coverage and corpus results
+        are byte-identical whatever the worker count.  Task time deltas are
+        folded into this instance's ledgers; the dispatch round-trip minus
+        the tasks' busy time is charged as IPC transport.  Returns the
+        round's task ids (pooled workers hold full records for them until
+        released).
         """
         from repro.backends.simshard import SimulationTask, chunk_classes
 
@@ -569,17 +560,6 @@ class AmuletFuzzer:
         self._charge_phase("ipc", ipc)
         return [task.task_id for task in tasks]
 
-    def _materialize_witnesses(self, entries) -> None:
-        """Detector hook: swap compact witness records for full ones.
-
-        On the compact transport path the detector grouped entries by trace
-        digest; the entries it promotes to violation witnesses need their
-        real traces and predictor contexts, which still live in the worker
-        that simulated them.  A no-op for full (inline) records.
-        """
-        if self.sim_router.pooled:
-            self.sim_router.materialize_entries(entries)
-
     def _build_test_case(
         self, program, seed_inputs: Sequence[Input] = ()
     ) -> TestCase:
@@ -590,13 +570,18 @@ class AmuletFuzzer:
         every base input — seeded or fresh — is boosted identically.  Seed
         inputs sized for a different sandbox are ignored.
 
-        Base inputs are always drawn in the calling process (the generator
-        stream is instance state); the per-base emulation and boosting is
-        sharded through the sim router when it is active.  Both paths
-        produce identical entries: base inputs are counter-seeded and
-        variant derivation is seeded purely by the base input's fingerprint.
+        One :class:`ContractTask` per base input (its generation, leakage-
+        model run, and boosted-variant derivation) goes through the sim
+        router and is stitched back in base-input order, so the test case
+        is identical whatever the worker count: base inputs are
+        counter-seeded and variant derivation is seeded purely by the base
+        input's fingerprint.  Fresh base inputs travel as stream counters —
+        the generator stream advances here, but the sandbox image is
+        materialized wherever the task runs.  The dispatch round-trip not
+        covered by the tasks' busy time is charged to IPC.
         """
-        config = self.config
+        from repro.backends.simshard import ContractTask
+
         test_case = TestCase(program=program)
         contract_started = time.perf_counter()
         usable_seeds = [
@@ -604,64 +589,6 @@ class AmuletFuzzer:
             for seed_input in seed_inputs
             if len(seed_input.memory) == self.sandbox.size
         ]
-        if self.sim_router.active:
-            ipc = self._collect_traces_sharded(program, usable_seeds, test_case)
-        else:
-            ipc = 0.0
-            base_inputs: List[Input] = []
-            for base_index in range(config.base_inputs_per_program):
-                if base_index < len(usable_seeds):
-                    base_inputs.append(usable_seeds[base_index])
-                else:
-                    base_inputs.append(self.input_generator.generate_one())
-            emulator = Emulator(program, self.sandbox, specialize=config.specialize)
-            for base_index, base_input in enumerate(base_inputs):
-                model_result = emulator.run(base_input, self.contract)
-                base_entry = test_case.add(
-                    base_input, model_result.trace, speculation=model_result.speculation
-                )
-                variants = self.input_generator.mutate_preserving(
-                    base_input,
-                    model_result.relevant_labels,
-                    count=config.boost_factor,
-                    salt=base_index,
-                )
-                # All boosted variants of a base input share the emulator's
-                # compiled runner and sandbox buffer (batched multi-input round).
-                for variant, variant_result in zip(
-                    variants, emulator.collect_traces_batch(variants, self.contract)
-                ):
-                    test_case.add(
-                        variant,
-                        variant_result.trace,
-                        boosted_from=base_entry.index,
-                        speculation=variant_result.speculation,
-                    )
-        elapsed = time.perf_counter() - contract_started
-        self.executor.time.charge_contract_traces(len(test_case))
-        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed - ipc)
-        self._charge_phase("contract", elapsed - ipc)
-        if ipc:
-            self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
-            self._charge_phase("ipc", ipc)
-        return test_case
-
-    def _collect_traces_sharded(
-        self, program, usable_seeds: Sequence[Input], test_case: TestCase
-    ) -> float:
-        """Fan the contract pass's base inputs through the sim router.
-
-        One :class:`ContractTask` per base input (its generation, leakage-
-        model run, and boosted-variant derivation), stitched back in
-        base-input order, so the test case is identical to the
-        single-process loop whatever the worker count.  Fresh base inputs
-        travel as stream counters — the generator stream advances here, but
-        the sandbox image is materialized by whichever worker runs the task.
-        Returns the dispatch round-trip seconds not covered by worker busy
-        time (charged to IPC by the caller).
-        """
-        from repro.backends.simshard import ContractTask
-
         program_key = next(_ROUND_KEYS)
         tasks: List[ContractTask] = []
         for base_index in range(self.config.base_inputs_per_program):
@@ -698,7 +625,14 @@ class AmuletFuzzer:
                     variant, trace, boosted_from=base_entry.index, speculation=profile
                 )
             busy += outcome.busy_seconds()
-        return max(0.0, roundtrip - busy)
+        ipc = max(0.0, roundtrip - busy)
+        elapsed = time.perf_counter() - contract_started
+        self.executor.time.charge_contract_traces(len(test_case))
+        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed - ipc)
+        self._charge_phase("contract", elapsed - ipc)
+        self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
+        self._charge_phase("ipc", ipc)
+        return test_case
 
     def _validate(self, violation: Violation) -> bool:
         """Re-run the violating pair from shared micro-architectural contexts.
@@ -750,21 +684,15 @@ class AmuletFuzzer:
         self.report.modeled_seconds = self.executor.time.total_modeled()
         self.report.modeled_breakdown = dict(self.executor.time.modeled_seconds)
         self.report.wall_clock_breakdown = dict(self.executor.time.wall_clock_seconds)
-        if self.sim_router.active:
-            self.report.parallel_sim = self.sim_router.stats()
-            # Mirror simulation-pool faults into the report's fault block.
-            # The stats are cumulative for this router, so assign (not add):
-            # this refresh runs many times per campaign and must stay
-            # idempotent.
-            sim_faults = self.report.parallel_sim.get("faults")
-            if sim_faults:
-                counters = self.report.faults.setdefault("counters", {})
-                for reason, count in sim_faults.items():
-                    counters[reason] = count
-            sim_force_kills = self.report.parallel_sim.get("force_kills")
-            if sim_force_kills:
-                counters = self.report.faults.setdefault("counters", {})
-                counters["sim_force_kills"] = sim_force_kills
+        self.report.parallel_sim = self.sim_router.stats()
+        # Mirror simulation-pool faults into the report's fault block.  The
+        # router's counts are cumulative, so assign (not add): this refresh
+        # runs many times per campaign and must stay idempotent.
+        sim_faults = dict(self.sim_router.faults)
+        if self.sim_router.force_kills:
+            sim_faults["sim_force_kills"] = self.sim_router.force_kills
+        if sim_faults:
+            self.report.faults.setdefault("counters", {}).update(sim_faults)
         current = stats_snapshot()
         start = self._spec_stats_start
         self.report.specialization = {

@@ -73,11 +73,11 @@ class ExecutionRecord:
 class SimulatorExecutor:
     """Generates micro-architectural traces for (program, input) test cases.
 
-    The executor owns the simulator lifecycle.  In Opt mode one
-    :class:`O3Core` is constructed per test program (`load_program`) and
-    reused for every input — registers and sandbox memory are simply
-    overwritten, and predictor state carries over.  In Naive mode a fresh
-    core (and defense instance) is constructed for every single input.
+    The executor owns the simulator lifecycle.  In Opt mode each
+    `load_program` starts a fresh simulator that every following input
+    reuses — registers and sandbox memory are simply overwritten, and
+    predictor state carries over.  In Naive mode a fresh core (and defense
+    instance) is constructed for every single input.
     """
 
     def __init__(
@@ -128,14 +128,24 @@ class SimulatorExecutor:
             self._core = None
 
     def _start_simulator(self, program: Program) -> O3Core:
+        """Start a fresh simulator for ``program``.
+
+        Re-loading the program the Opt-mode core already holds (the next
+        chunk of a round) rewinds that core instead of building a new one;
+        a rewound core produces exactly the records a new core would.
+        """
         started = time.perf_counter()
-        core = O3Core(
-            program,
-            config=self.uarch_config,
-            defense=self.defense_factory(),
-            sandbox=self.sandbox,
-            specialize=self.specialize,
-        )
+        core = self._core
+        if core is not None and core.program is program:
+            core.rewind(self.defense_factory())
+        else:
+            core = O3Core(
+                program,
+                config=self.uarch_config,
+                defense=self.defense_factory(),
+                sandbox=self.sandbox,
+                specialize=self.specialize,
+            )
         self.simulator_starts += 1
         self.time.charge_startup()
         self.time.add_wall_clock(STARTUP, time.perf_counter() - started)

@@ -121,12 +121,18 @@ class BranchPredictor:
         )
 
     def save_state(self) -> dict:
+        return self._state_of(
+            self._counters, self._history, self._btb, self._btb_lru, self._use_counter
+        )
+
+    @staticmethod
+    def _state_of(counters, history, btb, btb_lru, use_counter) -> dict:
         return {
-            "counters": dict(self._counters),
-            "history": self._history,
-            "btb": dict(self._btb),
-            "btb_lru": dict(self._btb_lru),
-            "use_counter": self._use_counter,
+            "counters": dict(counters),
+            "history": history,
+            "btb": dict(btb),
+            "btb_lru": dict(btb_lru),
+            "use_counter": use_counter,
         }
 
     def journal_mark(self) -> Tuple[int, int]:
@@ -147,7 +153,12 @@ class BranchPredictor:
         btb_lru = state["btb_lru"]
         for record in reversed(self._journal[length:]):
             kind, key, old = record[0], record[1], record[2]
-            if kind == "dir":
+            if kind == "rewind":
+                state = self._state_of(*old)
+                counters = state["counters"]
+                btb = state["btb"]
+                btb_lru = state["btb_lru"]
+            elif kind == "dir":
                 if old is _ABSENT:
                     counters.pop(key, None)
                 else:
@@ -173,6 +184,26 @@ class BranchPredictor:
                     btb_lru[key] = old
                 state["use_counter"] = record[3]
         return state
+
+    def rewind(self) -> None:
+        """Return to the just-constructed (empty) state, in O(1).
+
+        Unlike :meth:`reset`, the rewind is itself journalled (the old
+        tables are parked in one journal record, never copied), so marks
+        taken before it stay valid and still materialize their states.
+        """
+        self._journal.append(
+            (
+                "rewind",
+                None,
+                (self._counters, self._history, self._btb, self._btb_lru, self._use_counter),
+            )
+        )
+        self._counters = {}
+        self._history = 0
+        self._btb = {}
+        self._btb_lru = {}
+        self._use_counter = 0
 
     def restore_state(self, state: dict) -> None:
         self._counters = dict(state["counters"])

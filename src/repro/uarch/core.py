@@ -273,8 +273,7 @@ class O3Core:
         self.dependence_predictor = MemoryDependencePredictor(
             entries=self.config.dependence_predictor_entries
         )
-        self.defense = defense or BaselineDefense()
-        self.defense.attach(self)
+        self._attach_defense(defense or BaselineDefense())
 
         # Per-run state, initialised by run().  The sandbox buffer is reused
         # across runs: load_input() rewrites every byte.
@@ -317,14 +316,6 @@ class O3Core:
             program.end_pc + FETCH_AHEAD_LINES * self.config.l1i.line_size
         )
         self._fetch_ahead_step = self.config.fetch_width * INSTRUCTION_SIZE
-        # Defenses that never override tick() pay nothing for the stage.
-        self._defense_ticks = type(self.defense).tick is not Defense.tick
-        # Same for safety notifications: the stage only matters to defenses
-        # that either override on_entry_safe or read entry.safe_notified.
-        self._defense_safety = (
-            type(self.defense).on_entry_safe is not Defense.on_entry_safe
-            or self.defense.tracks_safety
-        )
         # Set when waking parked entries back onto the issue list leaves it
         # out of dispatch order (the issue scan re-sorts before iterating).
         self._exec_resort = False
@@ -332,9 +323,35 @@ class O3Core:
         # skipped lazily); load issue scans this instead of the whole ROB.
         self._inflight_stores: List[InFlightInstruction] = []
 
+    def _attach_defense(self, defense: Defense) -> None:
+        self.defense = defense
+        defense.attach(self)
+        # Defenses that never override tick() pay nothing for the stage.
+        self._defense_ticks = type(defense).tick is not Defense.tick
+        # Same for safety notifications: the stage only matters to defenses
+        # that either override on_entry_safe or read entry.safe_notified.
+        self._defense_safety = (
+            type(defense).on_entry_safe is not Defense.on_entry_safe
+            or defense.tracks_safety
+        )
+
     # ======================================================================
     # public API
     # ======================================================================
+    def rewind(self, defense: Defense) -> None:
+        """Start a new simulation of the same program as if on a new core.
+
+        The predictors return to their empty state through a journalled
+        O(1) rewind, so lazy contexts captured before it still materialize;
+        ``defense`` replaces the attached instance; every per-run field is
+        re-initialised by :meth:`run` anyway.  The memory hierarchy is left
+        as it is: the executor's per-input priming rebuilds it from a fixed
+        state (fill) or empties it (flush), exactly as on a new core.
+        """
+        self.branch_predictor.rewind()
+        self.dependence_predictor.rewind()
+        self._attach_defense(defense)
+
     def run(self, test_input: Input) -> SimulationResult:
         """Simulate one test case (the current program with ``test_input``).
 

@@ -73,11 +73,19 @@ class MemoryDependencePredictor:
             )
         counters = dict(self._counters)
         for index, old in reversed(self._journal[length:]):
-            if old is _ABSENT:
+            if index is None:  # a rewind record parks the whole table
+                counters = dict(old)
+            elif old is _ABSENT:
                 counters.pop(index, None)
             else:
                 counters[index] = old
         return {"counters": counters}
+
+    def rewind(self) -> None:
+        """Return to the empty state in O(1), keeping earlier marks valid
+        (the old table is parked in one journal record)."""
+        self._journal.append((None, self._counters))
+        self._counters = {}
 
     def restore_state(self, state: dict) -> None:
         self._counters = dict(state["counters"])

@@ -242,6 +242,25 @@ class TestCheckpointResume:
         )
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
 
+    @pytest.mark.parametrize("defense", ("baseline", "invisispec"))
+    def test_checkpoint_at_default_resumes_under_sim_workers(self, defense, tmp_path):
+        # ``sim_workers`` is outside the fingerprint because every setting
+        # runs the same simulation chunks: a campaign checkpointed inline
+        # and resumed on a simulation pool answers like one run straight.
+        config = _config(defense)
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        uninterrupted = Campaign(config, instances=1).run()
+        partial = _interrupted_run(config, 1, checkpoint, stop_after=3)
+        assert partial.interrupted
+        pooled = _config(defense, sim_workers=2)
+        try:
+            resumed = _resumed_run(pooled, 1, checkpoint)
+        finally:
+            simshard.shutdown_pool()
+        assert resumed.resumed_from == checkpoint
+        assert resumed.reports[0].parallel_sim["pooled"]
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
     def test_resume_of_a_finished_campaign_is_a_no_op(self, tmp_path):
         config = _config()
         checkpoint = str(tmp_path / "campaign.ckpt")

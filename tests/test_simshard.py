@@ -1,11 +1,12 @@
 """Tests for the intra-round parallel simulation layer (simshard).
 
 Covers the determinism contract — identical violations, signatures, corpus
-contents and coverage bitmaps across ``sim_workers`` settings (unsharded /
-sharded-inline / pooled at several widths) for every defense — plus the
-compact wire format (trace digests, protocol-5 out-of-band input buffers,
-digest-then-materialize second pass), the adaptive ``map_items`` chunking,
-and worker-process hygiene after campaign-wide cancellation.
+contents and coverage bitmaps across ``sim_workers`` settings (the default,
+inline, pooled at several widths) for every defense — a rewound chunk start
+producing exactly a new core's records, plus the compact wire format (trace
+digests, protocol-5 out-of-band input buffers, digest-then-materialize
+second pass), the adaptive ``map_items`` chunking, and worker-process
+hygiene after campaign-wide cancellation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.backends.simshard import (
     SimulationTask,
     dumps_oob,
     loads_oob,
-    run_tasks_inline,
+    run_simulation_task,
 )
 from repro.core import Campaign, FuzzerConfig
 from repro.core.detector import ViolationDetector
@@ -41,6 +42,7 @@ from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
+from repro.uarch.core import materialize_uarch_context
 
 
 @pytest.fixture(autouse=True)
@@ -70,16 +72,24 @@ def _campaign_fingerprint(result):
     }
 
 
-def _run_campaign(defense, sim_workers, **overrides):
+def _run_campaign(defense, sim_workers=None, **overrides):
+    """One single-instance campaign; ``sim_workers=None`` keeps the default."""
+    if sim_workers is not None:
+        overrides["sim_workers"] = sim_workers
     config = FuzzerConfig(
         defense=defense,
         programs_per_instance=overrides.pop("programs", 2),
         inputs_per_program=overrides.pop("inputs", 7),
         seed=overrides.pop("seed", 3),
-        sim_workers=sim_workers,
         **overrides,
     )
     return Campaign(config, instances=1).run()
+
+
+def _run_inline(tasks, executors=None):
+    """Every task on the calling thread, on one executor cache."""
+    executors = {} if executors is None else executors
+    return [run_simulation_task(task, executors) for task in tasks]
 
 
 def _make_tasks(defense="baseline", programs=2, inputs=6, seed=5):
@@ -225,8 +235,8 @@ def _busy_then_echo(value):
 
 class TestInlineSharding:
     def test_inline_matches_unsharded_executor_in_naive_mode(self):
-        # In Naive mode the seed path already starts a fresh core per input,
-        # so sharded execution must be byte-identical, record for record.
+        # In Naive mode every input starts on a fresh core, so a chunked
+        # task must match one executor run over its inputs, record for record.
         tasks = _make_tasks()
         naive_tasks = [
             dataclasses.replace(
@@ -234,7 +244,7 @@ class TestInlineSharding:
             )
             for task in tasks
         ]
-        outcomes = run_tasks_inline(naive_tasks)
+        outcomes = _run_inline(naive_tasks)
         for task, outcome in zip(naive_tasks, outcomes):
             executor = task.spec.build_executor()
             executor.load_program(task.program)
@@ -249,22 +259,73 @@ class TestInlineSharding:
     def test_executor_cache_is_reused_across_tasks(self):
         tasks = _make_tasks(programs=2)
         executors = {}
-        run_tasks_inline(tasks, executors)
+        _run_inline(tasks, executors)
         assert len(executors) == 1  # one spec -> one cached executor
 
-    def test_base_backend_map_simulations_is_the_inline_fallback(self):
+    def test_inline_router_returns_full_records_in_task_order(self):
         tasks = _make_tasks(programs=1)
-        outcomes = InlineBackend().map_simulations(tasks)
+        outcomes = SimulationRouter(0).map(tasks)
         assert [outcome.task_id for outcome in outcomes] == [
             task.task_id for task in tasks
         ]
         assert all(not outcome.pooled for outcome in outcomes)
+        assert all(
+            isinstance(record.trace, UarchTrace)
+            for outcome in outcomes
+            for record in outcome.records
+        )
+
+
+def _record_fingerprint(record):
+    """Everything a simulated record carries, in comparable form."""
+    return (
+        pickle.dumps(record.trace),
+        record.result.stats,
+        record.result.final_registers,
+        materialize_uarch_context(record.uarch_context),
+    )
+
+
+class TestChunkStart:
+    """A chunk started on a loaded core equals one started on a new core."""
+
+    @pytest.mark.parametrize("defense", sorted(available_defenses()))
+    def test_back_to_back_tasks_match_new_executors(self, defense):
+        tasks = _make_tasks(defense=defense, programs=2, inputs=8)
+        # Chunks of one program (rewound starts) and of the next program.
+        programs = {id(task.program) for task in tasks}
+        assert len(programs) == 2 and len(tasks) > len(programs)
+        executors = {}
+        shared = [
+            [_record_fingerprint(record) for record in outcome.records]
+            for outcome in _run_inline(tasks, executors)
+        ]
+        assert len(executors) == 1
+        for task, records in zip(tasks, shared):
+            (fresh,) = _run_inline([task])
+            assert records == [_record_fingerprint(record) for record in fresh.records]
+
+    def test_rewind_keeps_earlier_contexts_materializable(self):
+        tasks = _make_tasks(programs=1, inputs=8)
+        assert len(tasks) > 1
+        executors = {}
+        (first,) = _run_inline(tasks[:1], executors)
+        (executor,) = executors.values()
+        core = executor._core
+        _run_inline(tasks[1:], executors)
+        assert executor._core is core  # later chunks rewound the same core
+        # Materialize the first chunk's contexts only after later chunks ran.
+        late = [materialize_uarch_context(r.uarch_context) for r in first.records]
+        (fresh,) = _run_inline(tasks[:1])
+        assert late == [
+            materialize_uarch_context(r.uarch_context) for r in fresh.records
+        ]
 
 
 class TestPooledSharding:
     def test_pooled_outcomes_match_inline_digests_and_stats(self):
         tasks = _make_tasks()
-        inline = run_tasks_inline(tasks)
+        inline = _run_inline(tasks)
         pool = simshard.get_pool(2)
         pooled = pool.map(tasks)
         assert [outcome.task_id for outcome in pooled] == [
@@ -283,7 +344,7 @@ class TestPooledSharding:
 
     def test_fetch_materializes_full_records(self):
         tasks = _make_tasks(programs=1)
-        inline = run_tasks_inline(tasks)
+        inline = _run_inline(tasks)
         pool = simshard.get_pool(2)
         pooled = pool.map(tasks)
         record = pooled[0].records[0]
@@ -297,7 +358,7 @@ class TestPooledSharding:
 
     def test_compact_results_are_smaller_than_full_records(self):
         tasks = _make_tasks(programs=1)
-        inline = run_tasks_inline(tasks)
+        inline = _run_inline(tasks)
         pool = simshard.get_pool(1)
         pooled = pool.map(tasks)
         full_bytes = len(
@@ -314,20 +375,11 @@ class TestPooledSharding:
 
 
 class TestSimulationRouter:
-    def test_semantics_none_zero_pool(self):
-        assert not SimulationRouter(None).active
-        zero = SimulationRouter(0)
-        assert zero.active and not zero.pooled
-        pooled = SimulationRouter(2)
-        assert pooled.active and pooled.pooled
+    def test_sim_workers_semantics(self):
+        assert not SimulationRouter(0).pooled
+        assert SimulationRouter(2).pooled
         with pytest.raises(ValueError):
             SimulationRouter(-1)
-
-    def test_force_inline_env_downgrades(self, monkeypatch):
-        monkeypatch.setenv(simshard.FORCE_INLINE_ENV, "1")
-        router = SimulationRouter(4)
-        assert router.active and not router.pooled
-        assert router.fallback_reason
 
     def test_materialize_ignores_full_records(self):
         # Inline records are already full; the hook must be a no-op.
@@ -402,23 +454,32 @@ class TestRoundEquivalence:
         }
         assert fingerprints[0] == fingerprints[2] == fingerprints[4]
 
-    def test_sharded_matches_seed_path_detections(self):
-        # The unsharded default carries predictor state across an Opt-mode
-        # program's inputs while sharding gives each class a fresh core, so
-        # traces need not be byte-identical — but validated violations,
-        # signatures and corpus program ids must agree on this workload.
-        default = _campaign_fingerprint(_run_campaign("baseline", None, programs=4))
-        sharded = _campaign_fingerprint(_run_campaign("baseline", 0, programs=4))
-        assert default["signatures"] == sharded["signatures"]
-        assert default["violations"] == sharded["violations"]
-        assert default["test_cases"] == sharded["test_cases"]
-        assert default["corpus_ids"] == sharded["corpus_ids"]
-
-    def test_naive_mode_sharding_is_byte_identical_to_seed_path(self):
-        kwargs = {"mode": ExecutionMode.NAIVE, "programs": 2}
-        default = _campaign_fingerprint(_run_campaign("baseline", None, **kwargs))
-        sharded = _campaign_fingerprint(_run_campaign("baseline", 0, **kwargs))
-        assert default == sharded
+    @pytest.mark.parametrize(
+        "defense, mode",
+        [
+            ("stt", ExecutionMode.OPT),
+            ("baseline", ExecutionMode.OPT),
+            ("invisispec", ExecutionMode.OPT),
+            ("baseline", ExecutionMode.NAIVE),
+        ],
+    )
+    def test_default_config_matches_every_sim_workers_setting(self, defense, mode):
+        # One answer per campaign: the default configuration (no
+        # ``sim_workers`` given) must find exactly what sharded-inline and
+        # pooled execution find, in Opt mode too, where predictor state
+        # carries across the inputs of one simulator start.
+        kwargs = {
+            "mode": mode,
+            "programs": 6,
+            "inputs": 14,
+            "seed": 7,
+            "validate_violations": False,
+        }
+        default = _campaign_fingerprint(_run_campaign(defense, **kwargs))
+        for workers in (0, 2):
+            sharded = _campaign_fingerprint(_run_campaign(defense, workers, **kwargs))
+            for key in ("violations", "signatures", "corpus_ids", "coverage_bitmap"):
+                assert default[key] == sharded[key], (key, workers)
 
     def test_sharding_composes_with_filtering(self):
         kwargs = {"filter": "speculation", "boost_factor": 0, "inputs": 8}
@@ -439,11 +500,11 @@ class TestRoundEquivalence:
         assert payload["phase_breakdown"]["seconds"]
         assert payload["parallel_sim"]["tasks"] == summary["tasks"]
 
-    def test_unsharded_path_has_no_ipc_phase(self):
-        result = _run_campaign("baseline", None)
-        phases = result.phase_breakdown()["seconds"]
-        assert "ipc" not in phases
-        assert result.parallel_sim_summary() is None
+    def test_inline_path_moves_no_bytes(self):
+        result = _run_campaign("baseline")
+        summary = result.parallel_sim_summary()
+        assert not summary["pooled"] and summary["tasks"] > 0
+        assert "result_bytes" not in summary
 
 
 class TestWorkerHygiene:
