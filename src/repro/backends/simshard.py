@@ -38,9 +38,10 @@ processes, and both give the same answer:
   :class:`ContractTask` — base inputs are counter-seeded and variant
   derivation is seeded purely by the base input's fingerprint, so every
   worker derives exactly the same inputs.  Boosting
-  (``InputGenerator.mutate_preserving``) lives in this pass and takes most
-  of an STT round's wall time, so for STT this is where most of the
-  parallel win comes from.
+  (``InputGenerator.mutate_preserving``) lives in this pass; it decodes
+  each variant's sandbox image in bulk from the seeded RNG, so even STT's
+  128-page sandbox costs a few milliseconds per variant, about as much as
+  the round's simulation.
 
 The pool is a process-wide singleton (persistent workers are the point);
 ``shutdown_pool()`` tears it down explicitly and an ``atexit`` hook — plus
@@ -242,6 +243,8 @@ class ContractOutcome:
     #: Wall-clock the worker spent on this task (generation + emulation +
     #: mutation).
     elapsed_seconds: float = 0.0
+    #: The part of ``elapsed_seconds`` spent deriving the boosted variants.
+    boost_seconds: float = 0.0
     pooled: bool = False
 
     def busy_seconds(self) -> float:
@@ -513,12 +516,14 @@ class ContractRunner:
             base_input = generator.generate_at(task.base_counter)
         contract = get_contract(spec.contract)
         model_result = emulator.run(base_input, contract)
+        boost_started = time.perf_counter()
         variants = generator.mutate_preserving(
             base_input,
             model_result.relevant_labels,
             count=spec.boost_factor,
             salt=task.base_index,
         )
+        boost_seconds = time.perf_counter() - boost_started
         variant_results = (
             emulator.collect_traces_batch(variants, contract) if variants else []
         )
@@ -533,6 +538,7 @@ class ContractRunner:
                 result.speculation for result in variant_results
             ),
             elapsed_seconds=time.perf_counter() - started,
+            boost_seconds=boost_seconds,
         )
 
 

@@ -321,8 +321,9 @@ class CampaignResult:
         """Round-pipeline phase wall-clock split, aggregated over instances.
 
         Sums each instance's ``FuzzerReport.phase_breakdown`` (generate /
-        contract / simulate / detect / ipc) and derives per-phase shares, so
-        artifacts show *which phase* a speedup or regression landed in.
+        contract / boost / simulate / detect / ipc) and derives per-phase
+        shares, so artifacts show *which phase* a speedup or regression
+        landed in.
         """
         phases: Dict[str, float] = {}
         for report in self.reports:

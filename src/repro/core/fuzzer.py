@@ -112,8 +112,10 @@ class FuzzerReport:
     modeled_breakdown: Dict[str, float] = field(default_factory=dict)
     wall_clock_breakdown: Dict[str, float] = field(default_factory=dict)
     #: Wall-clock seconds per round-pipeline phase ("generate", "contract",
-    #: "simulate", "detect", "ipc"), measured around the phases themselves —
-    #: this is where a speedup (or a regression) is attributable.  "ipc" is
+    #: "boost", "simulate", "detect", "ipc"), measured around the phases
+    #: themselves — this is where a speedup (or a regression) is
+    #: attributable.  "boost" is the contract pass's boosted-variant
+    #: derivation, "contract" the rest of that pass.  "ipc" is
     #: the dispatch round-trip not covered by the shards' own busy time:
     #: transport and stitching with ``sim_workers >= 1``, the (small)
     #: dispatch bookkeeping inline.
@@ -611,7 +613,7 @@ class AmuletFuzzer:
         dispatch_started = time.perf_counter()
         outcomes = self.sim_router.map_contract(tasks)
         roundtrip = time.perf_counter() - dispatch_started
-        busy = 0.0
+        busy = boost = 0.0
         for outcome in outcomes:
             base_entry = test_case.add(
                 outcome.base_input,
@@ -625,11 +627,13 @@ class AmuletFuzzer:
                     variant, trace, boosted_from=base_entry.index, speculation=profile
                 )
             busy += outcome.busy_seconds()
+            boost += outcome.boost_seconds
         ipc = max(0.0, roundtrip - busy)
         elapsed = time.perf_counter() - contract_started
         self.executor.time.charge_contract_traces(len(test_case))
         self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed - ipc)
-        self._charge_phase("contract", elapsed - ipc)
+        self._charge_phase("contract", max(0.0, elapsed - ipc - boost))
+        self._charge_phase("boost", boost)
         self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
         self._charge_phase("ipc", ipc)
         return test_case

@@ -30,8 +30,9 @@ TaintLabel = Tuple[str, object]
 #: Granularity at which sandbox memory is tracked and mutated.
 MEMORY_GRANULE = 8
 
-#: Zeroes for bytes 2..7 of a granule overwritten via the two-byte fast path.
-_GRANULE_ZERO_TAIL = bytes(MEMORY_GRANULE - 2)
+#: Byte translation tables for :func:`_fresh_granules`.
+_SMALL_MASK = bytes(0xFF if byte < 0x40 else 0 for byte in range(256))
+_TOP_NIBBLE = bytes(byte >> 4 for byte in range(256))
 
 
 def memory_taint_label(offset: int) -> TaintLabel:
@@ -41,6 +42,30 @@ def memory_taint_label(offset: int) -> TaintLabel:
 
 def register_taint_label(name: str) -> TaintLabel:
     return ("reg", name)
+
+
+def _fresh_granules(rng: random.Random, count: int) -> bytearray:
+    """``count`` granules, each an 8-byte word of ``_random_value(rng, 16)``.
+
+    Byte-identical to ``count`` per-granule draws, ``rng`` state included.
+    A draw is ``random()`` (words ``a, b``) then ``getrandbits`` (word
+    ``c``), and ``randbytes`` emits those 32-bit words little-endian in draw
+    order.  ``random() < 0.25`` iff ``a < 2**30`` (byte 3 of ``a`` < 0x40);
+    ``getrandbits(k)`` is ``c >> (32 - k)``: 16 bits are ``c``'s bytes 2..3,
+    4 bits are byte 3's top nibble.  So strided byte columns, two translate
+    tables and whole-buffer AND/OR decode every draw at once.
+    """
+    raw = rng.randbytes(12 * count)
+    small = int.from_bytes(raw[3::12].translate(_SMALL_MASK), "little")
+    top = raw[11::12]
+    low = (int.from_bytes(top.translate(_TOP_NIBBLE), "little") & small) | (
+        int.from_bytes(raw[10::12], "little") & ~small
+    )
+    high = int.from_bytes(top, "little") & ~small
+    granules = bytearray(count * MEMORY_GRANULE)
+    granules[0::MEMORY_GRANULE] = low.to_bytes(count, "little")
+    granules[1::MEMORY_GRANULE] = high.to_bytes(count, "little")
+    return granules
 
 
 @dataclass(frozen=True)
@@ -116,20 +141,19 @@ class InputGenerator:
         sandbox: Sandbox,
         seed: int = 0,
         register_value_bits: int = 16,
-        memory_value_bits: int = 16,
     ) -> None:
         """Create a generator.
 
-        ``register_value_bits`` / ``memory_value_bits`` bound the magnitude of
-        generated values.  Small-ish values make flag conditions (and thus
-        branch outcomes) vary between inputs, which is what drives coverage
-        of both branch directions during fuzzing; address randomness is
-        unaffected because generated programs mask addresses anyway.
+        ``register_value_bits`` bounds the magnitude of generated register
+        values; memory granules always hold 16-bit values.  Small-ish values
+        make flag conditions (and thus branch outcomes) vary between inputs,
+        which is what drives coverage of both branch directions during
+        fuzzing; address randomness is unaffected because generated programs
+        mask addresses anyway.
         """
         self.sandbox = sandbox
         self.seed = seed
         self.register_value_bits = register_value_bits
-        self.memory_value_bits = memory_value_bits
         self._rng = random.Random(seed)
         self._counter = 0
 
@@ -160,40 +184,16 @@ class InputGenerator:
 
         Every input is seeded by ``(seed, counter)`` alone, so any generator
         constructed with the same seed and sandbox produces bit-identical
-        inputs for the same counter — in any process, in any order.
+        inputs for the same counter — in any process, in any order.  The
+        stream is six register draws, then one draw per granule.
         """
         rng = random.Random((self.seed << 20) ^ counter)
         registers = {
             name: self._random_value(rng, self.register_value_bits)
             for name in INPUT_REGISTERS
         }
-        # The granule loop dominates campaign generation time for defenses
-        # with large sandboxes, so ``_random_value`` is inlined with bound
-        # methods; the RNG consumption sequence (one ``random()`` then one
-        # ``getrandbits``) must stay identical to keep seeded streams stable.
-        uniform = rng.random
-        getrandbits = rng.getrandbits
-        bits = self.memory_value_bits
-        memory = bytearray(self.sandbox.size)
-        if bits <= 16:
-            # Fast path for the default value width: a granule word fits in
-            # two bytes and the buffer is already zeroed, so two byte stores
-            # replace the 8-byte ``to_bytes`` round trip.  The RNG stream is
-            # byte-for-byte identical to the generic loop below.
-            for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                if uniform() < 0.25:
-                    memory[offset] = getrandbits(4)
-                else:
-                    word = getrandbits(bits)
-                    memory[offset] = word & 0xFF
-                    memory[offset + 1] = word >> 8
-        else:
-            for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                word = getrandbits(4) if uniform() < 0.25 else getrandbits(bits)
-                memory[offset : offset + MEMORY_GRANULE] = word.to_bytes(
-                    MEMORY_GRANULE, "little"
-                )
-        return Input.create(registers, bytes(memory), seed=counter)
+        memory = _fresh_granules(rng, self.sandbox.size // MEMORY_GRANULE)
+        return Input.create(registers, memory, seed=counter)
 
     def generate(self, count: int) -> List[Input]:
         """Generate ``count`` fresh inputs."""
@@ -214,12 +214,22 @@ class InputGenerator:
         ``base``, so any observation that depends only on preserved locations
         (in particular the contract trace that produced the taint set) is
         unchanged.
+
+        Variant ``i``'s stream is one draw per unpreserved register, then
+        one per unpreserved granule in offset order: a :func:`_fresh_granules`
+        image with the base's preserved granule runs spliced in.
         """
-        # Loop offsets are granule-aligned, so the preserve check reduces to
-        # plain offset membership — no ``("mem", offset)`` tuple per granule.
-        preserved_offsets = {which for kind, which in preserve if kind == "mem"}
+        size = self.sandbox.size
+        preserved = sorted({which for kind, which in preserve if kind == "mem"})
+        runs: List[List[int]] = []  # consecutive preserved bytes, [start, stop)
+        for offset in preserved:
+            if runs and runs[-1][1] == offset:
+                runs[-1][1] += MEMORY_GRANULE
+            else:
+                runs.append([offset, offset + MEMORY_GRANULE])
+        fresh_count = size // MEMORY_GRANULE - len(preserved)
+        base_memory = memoryview(base.memory)
         fingerprint = base.fingerprint() & MASK64
-        bits = self.memory_value_bits
         variants: List[Input] = []
         for index in range(count):
             rng = random.Random(fingerprint ^ (salt << 8) ^ (index + 1))
@@ -227,31 +237,17 @@ class InputGenerator:
             for name in INPUT_REGISTERS:
                 if register_taint_label(name) not in preserve:
                     registers[name] = self._random_value(rng, self.register_value_bits)
-            uniform = rng.random
-            getrandbits = rng.getrandbits
-            memory = bytearray(base.memory)
-            if bits <= 16:
-                # Same RNG stream and bytes as the generic loop; the granule
-                # tail must be cleared explicitly because ``memory`` starts
-                # as a copy of the base input.
-                zero_tail = _GRANULE_ZERO_TAIL
-                for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                    if offset not in preserved_offsets:
-                        if uniform() < 0.25:
-                            word = getrandbits(4)
-                        else:
-                            word = getrandbits(bits)
-                        memory[offset] = word & 0xFF
-                        memory[offset + 1] = word >> 8
-                        memory[offset + 2 : offset + MEMORY_GRANULE] = zero_tail
-            else:
-                for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                    if offset not in preserved_offsets:
-                        word = getrandbits(4) if uniform() < 0.25 else getrandbits(bits)
-                        memory[offset : offset + MEMORY_GRANULE] = word.to_bytes(
-                            MEMORY_GRANULE, "little"
-                        )
-            variants.append(Input.create(registers, bytes(memory), seed=base.seed))
+            fresh = memoryview(_fresh_granules(rng, fresh_count))
+            # A fresh byte sits at its sandbox offset minus the run bytes before it.
+            pieces, cursor, copied = [], 0, 0
+            for start, stop in runs:
+                pieces.append(fresh[cursor - copied : start - copied])
+                pieces.append(base_memory[start:stop])
+                copied += stop - start
+                cursor = stop
+            pieces.append(fresh[cursor - copied :])
+            memory = b"".join(pieces)
+            variants.append(Input.create(registers, memory, seed=base.seed))
         return variants
 
     @staticmethod

@@ -492,7 +492,9 @@ class TestRoundEquivalence:
     def test_phase_breakdown_reports_the_split(self):
         result = _run_campaign("baseline", 2)
         phases = result.phase_breakdown()["seconds"]
-        assert {"generate", "contract", "simulate", "detect", "ipc"} <= set(phases)
+        assert {"generate", "contract", "boost", "simulate", "detect", "ipc"} <= set(
+            phases
+        )
         summary = result.parallel_sim_summary()
         assert summary["pooled"] and summary["tasks"] > 0
         assert summary["result_bytes"] > 0
