@@ -29,7 +29,10 @@ is recorded in the artifact) pooled workers time-share one core, so the
 measured pooled rows show transport overhead while the projection shows the
 schedule speedup the same task stream yields with real cores.  A
 **serialization** micro-benchmark compares the compact digest transport
-against shipping full traces: bytes per result and pickle seconds.
+against shipping full traces: bytes per result and pickle seconds.  A
+**checkpoint** micro-benchmark writes the snapshots of a fixed 4-instance
+hybrid ``invisispec`` campaign in the indented full-report layout and in
+the compact encode-once layout: bytes per state and seconds per save.
 
 Test-case rates count *generated* test cases (raw coverage); each row also
 reports ``test_cases_executed`` and the scheduler's skip counters, so
@@ -54,9 +57,12 @@ Run it with::
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
+import pickle
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional
 
@@ -70,8 +76,10 @@ from repro.backends.simshard import (
     shutdown_pool,
 )
 from repro.core import Campaign, FilterLevel, FuzzerConfig
+from repro.core.checkpoint import CheckpointManager
 from repro.core.filtering import unique_violations
-from repro.core.io import atomic_write_json
+from repro.core.fuzzer import report_from_state
+from repro.core.io import atomic_write_json, load_json
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.traces import UarchTrace
 from repro.generator.config import GeneratorConfig
@@ -567,6 +575,85 @@ def measure_serialization(
     }
 
 
+def measure_checkpoint(
+    programs: int, inputs: int, instances: int = 4, repeats: int = 5
+) -> Dict[str, object]:
+    """Checkpoint write cost: the indented full-report layout vs the current one.
+
+    Runs a fixed hybrid ``invisispec`` campaign of ``instances`` instances
+    with a checkpoint, then writes its instance snapshots both ways a
+    checkpoint can hold them: indented, with report pickles that also carry
+    the corpus and coverage bitmap, every instance re-encoded per write (the
+    layout before encode-once); and through :class:`CheckpointManager`
+    (compact, one corpus copy, each snapshot encoded once on arrival and
+    spliced into every write).  Reports bytes per state and seconds per
+    ``save()``, plus the one-off encode each snapshot pays on arrival.
+    """
+    config = FuzzerConfig(
+        defense="invisispec",
+        programs_per_instance=programs,
+        inputs_per_program=inputs,
+        seed=SEED,
+        strategy="hybrid",
+        corpus_litmus=True,
+    )
+
+    def _seconds_per_call(call) -> float:
+        call()  # warm-up
+        started = time.perf_counter()
+        for _ in range(repeats):
+            call()
+        return (time.perf_counter() - started) / repeats
+
+    with tempfile.TemporaryDirectory() as scratch:
+        source = os.path.join(scratch, "campaign.ckpt")
+        Campaign(config, instances=instances).run(checkpoint_path=source)
+        payload = load_json(source, kind="checkpoint")
+        states = payload["states"]
+
+        fat_states = []
+        for state in states:
+            fat = dict(state)
+            fat["report_pickle"] = base64.b64encode(
+                pickle.dumps(report_from_state(state), protocol=pickle.HIGHEST_PROTOCOL)
+            ).decode("ascii")
+            fat_states.append(fat)
+        indented_path = os.path.join(scratch, "indented.ckpt")
+        indented_payload = dict(payload, states=fat_states)
+        indented_seconds = _seconds_per_call(
+            lambda: atomic_write_json(indented_path, indented_payload)
+        )
+        indented_bytes = os.path.getsize(indented_path)
+
+        manager = CheckpointManager(
+            os.path.join(scratch, "compact.ckpt"), config, instances, interval=10**9
+        )
+        started = time.perf_counter()
+        for index, state in enumerate(states):
+            manager.record_state(index, state)
+        encode_seconds = (time.perf_counter() - started) / instances
+        compact_seconds = _seconds_per_call(manager.save)
+        compact_bytes = os.path.getsize(manager.path)
+
+    return {
+        "instances": instances,
+        "rounds": payload["rounds_completed"],
+        "indented_full_report": {
+            "bytes_per_state": round(indented_bytes / instances),
+            "seconds_per_save": round(indented_seconds, 6),
+        },
+        "compact_encode_once": {
+            "bytes_per_state": round(compact_bytes / instances),
+            "seconds_per_save": round(compact_seconds, 6),
+            "encode_seconds_per_state": round(encode_seconds, 6),
+        },
+        "bytes_ratio": round(indented_bytes / compact_bytes, 2),
+        "save_speedup": round(indented_seconds / compact_seconds, 1)
+        if compact_seconds
+        else None,
+    }
+
+
 def measure_trace_hashing(samples: int = 64, repeats: int = 2000) -> Dict[str, object]:
     """Micro-benchmark of the cached ``UarchTrace`` hash.
 
@@ -661,6 +748,14 @@ def run_suite(
         f"{serialization_row['digest']['bytes_per_result']} bytes per result "
         f"({serialization_row['bytes_ratio']}x)"
     )
+    checkpoint_row = measure_checkpoint(budget["programs"], budget["inputs"])
+    print(
+        f"  checkpoint (indented/compact) "
+        f"{checkpoint_row['indented_full_report']['bytes_per_state']:>8} / "
+        f"{checkpoint_row['compact_encode_once']['bytes_per_state']} bytes per state, "
+        f"{checkpoint_row['indented_full_report']['seconds_per_save']} / "
+        f"{checkpoint_row['compact_encode_once']['seconds_per_save']} s per save"
+    )
     emulator_row = measure_emulator_only(
         budget["micro_programs"], budget["micro_inputs"], specialize=specialize
     )
@@ -697,6 +792,7 @@ def run_suite(
         "core_only": core_row,
         "trace_hash": hash_row,
         "serialization": serialization_row,
+        "checkpoint": checkpoint_row,
         "specialization": specialization_row,
     }
     if sim_workers:

@@ -32,10 +32,8 @@ lost-round IDs) instead of killing the campaign.
 
 from __future__ import annotations
 
-import base64
 import multiprocessing
 import os
-import pickle
 import queue as queue_module
 import signal
 import traceback
@@ -49,7 +47,7 @@ from repro.backends.base import (
 )
 from repro.backends.supervision import POLL_SECONDS, WorkerSlot, supervise
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
+from repro.core.fuzzer import AmuletFuzzer, FuzzerReport, report_from_state
 
 
 def _worker_main(
@@ -130,13 +128,6 @@ def _worker_main(
             active = still_active
     except BaseException:
         results.put(("error", worker_id, None, traceback.format_exc()))
-
-
-def _report_from_state(state: Optional[dict]) -> Optional[FuzzerReport]:
-    """The pickled report inside a resume snapshot (None without one)."""
-    if state is None:
-        return None
-    return pickle.loads(base64.b64decode(state["report_pickle"]))
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -336,9 +327,12 @@ class ProcessPoolBackend(ExecutionBackend):
             # Degrade: keep everything the lost instances completed (the
             # latest snapshot's report), record the abandoned remainder.
             for index in affected:
-                report = _report_from_state(latest_state[index])
-                if report is None:
-                    report = self.empty_report(plan.configs[index])
+                state = latest_state[index]
+                report = (
+                    report_from_state(state)
+                    if state is not None
+                    else self.empty_report(plan.configs[index])
+                )
                 if not mp_stop.is_set():
                     budget = plan.configs[index].programs_per_instance
                     lost_rounds[index] = list(range(report.programs_tested, budget))

@@ -13,27 +13,38 @@ killed-and-resumed run is identical (violations, signatures, coverage,
 corpus) to the same campaign run uninterrupted — the property
 ``tests/test_fault_tolerance.py`` asserts.
 
-Writes go through :func:`repro.core.io.atomic_write_json` (stage + rename),
-so a crash mid-write leaves the previous checkpoint intact, never a
-truncated one.  Loading damage raises a ``ValueError`` naming the file and
-byte offset; ``--resume-fresh`` downgrades that to a warning and a fresh
-start.
+Layout and cost.  The file is one compact JSON object (no indentation):
+a small header (format, fingerprint, instance count, rounds completed,
+``interrupted``) followed by ``"states"``, one snapshot per instance (or
+``null``).  Each snapshot holds the corpus once: the pickled report leaves
+out its coverage bitmap and corpus entries, which
+:func:`~repro.core.fuzzer.report_from_state` refills from the snapshot's
+own ``coverage`` and ``corpus_entries``.  :class:`CheckpointManager`
+encodes a snapshot exactly once, with the C JSON encoder, when it arrives;
+a write encodes only the header and streams it together with the cached
+per-instance texts, so a write costs the bytes on disk, not a re-encode of
+every instance.  Older indented files, and older snapshots whose report
+still carries both copies, load and resume the same way.
+
+Writes go through :func:`repro.core.io.atomic_write_chunks` (stage +
+rename), so a crash mid-write leaves the previous checkpoint intact, never
+a truncated one.  Loading damage raises a ``ValueError`` naming the file
+and byte offset; ``--resume-fresh`` downgrades that to a warning and a
+fresh start.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
-from repro.core.io import atomic_write_json, load_json
+from repro.core.fuzzer import AmuletFuzzer, FuzzerReport, report_from_state
+from repro.core.io import atomic_write_chunks, load_json
 
 CHECKPOINT_FORMAT = "amulet-checkpoint-v1"
 
@@ -68,9 +79,11 @@ class CheckpointManager:
     """Accumulates instance snapshots and persists them atomically.
 
     Backends stream ``(instance_index, state_dict)`` snapshots through
-    :meth:`record_state`; the manager keeps the latest per instance and
-    rewrites the checkpoint file whenever at least ``interval`` new rounds
-    landed since the last write (and always from :meth:`save_final`).
+    :meth:`record_state`; the manager encodes each one once, on arrival,
+    keeps the latest encoding per instance, and rewrites the checkpoint file
+    whenever at least ``interval`` new rounds landed since the last write
+    (and from :meth:`save_final`, unless that would rewrite identical
+    contents).
     """
 
     def __init__(
@@ -86,8 +99,17 @@ class CheckpointManager:
         self.fingerprint = campaign_fingerprint(config, instances)
         self.instances = instances
         self.interval = interval
-        self.states: List[Optional[dict]] = [None] * instances
+        #: Latest snapshot per instance as compact JSON text (None: none
+        #: yet), plus its ``programs_tested``, so no state dict is kept.
+        self._encoded: List[Optional[str]] = [None] * instances
+        self._programs_tested: List[int] = [0] * instances
+        #: The states a resume loaded (reports for :meth:`initial_reports`).
+        self._loaded: List[Optional[dict]] = [None] * instances
         self._rounds_at_last_write = -1
+        #: ``interrupted`` flag of the file on disk (None: not written yet),
+        #: and whether a snapshot arrived since it was written.
+        self._written_interrupted: Optional[bool] = None
+        self._dirty = False
 
     # -- loading ----------------------------------------------------------------
     def load(self, resume_fresh: bool = False) -> Optional[List[Optional[dict]]]:
@@ -111,9 +133,14 @@ class CheckpointManager:
                 f"({error})\n"
             )
             return None
-        self.states = list(payload["states"])
+        self._loaded = list(payload["states"])
+        for index, state in enumerate(self._loaded):
+            if state is not None:
+                self._remember(index, state)
         self._rounds_at_last_write = self.rounds_completed()
-        return list(self.states)
+        self._written_interrupted = payload.get("interrupted")
+        self._dirty = False
+        return list(self._loaded)
 
     def _load_payload(self) -> dict:
         payload = load_json(
@@ -141,51 +168,84 @@ class CheckpointManager:
         return payload
 
     def initial_reports(self) -> Dict[int, FuzzerReport]:
-        """Unpickled pre-resume reports, keyed by instance index.
+        """Pre-resume reports, keyed by instance index.
 
         Campaign aggregation pre-seeds its streamed totals from these so a
         resumed campaign's summary covers the rounds that ran before the
         interruption.
         """
-        reports: Dict[int, FuzzerReport] = {}
-        for index, state in enumerate(self.states):
-            if state is not None:
-                reports[index] = pickle.loads(
-                    base64.b64decode(state["report_pickle"])
-                )
-        return reports
+        return {
+            index: report_from_state(state)
+            for index, state in enumerate(self._loaded)
+            if state is not None
+        }
 
     # -- writing ----------------------------------------------------------------
     def rounds_completed(self) -> int:
-        return sum(
-            state["programs_tested"] for state in self.states if state is not None
+        return sum(self._programs_tested)
+
+    def _remember(self, instance_index: int, state: dict) -> None:
+        self._encoded[instance_index] = json.dumps(
+            state, separators=(",", ":"), default=str
         )
+        self._programs_tested[instance_index] = state["programs_tested"]
 
     def record_state(self, instance_index: int, state: dict) -> None:
         """Fold one instance snapshot in; write if the interval elapsed."""
-        self.states[instance_index] = state
-        rounds = self.rounds_completed()
-        if rounds - self._rounds_at_last_write >= self.interval:
+        self._remember(instance_index, state)
+        self._dirty = True
+        if self.rounds_completed() - self._rounds_at_last_write >= self.interval:
             self.save()
 
     def save(self, interrupted: bool = False) -> str:
-        """Write the checkpoint atomically; returns the path written."""
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "fingerprint": self.fingerprint,
-            "instances": self.instances,
-            "rounds_completed": self.rounds_completed(),
-            "interrupted": interrupted,
-            "states": self.states,
-        }
-        self._rounds_at_last_write = payload["rounds_completed"]
-        path = atomic_write_json(self.path, payload)
+        """Write the checkpoint atomically; returns the path written.
+
+        Only the small header is encoded here: the per-instance snapshots
+        were encoded when they arrived and are spliced in as they are.
+        """
+        rounds = self.rounds_completed()
+        header = json.dumps(
+            {
+                "format": CHECKPOINT_FORMAT,
+                "fingerprint": self.fingerprint,
+                "instances": self.instances,
+                "rounds_completed": rounds,
+                "interrupted": interrupted,
+            },
+            separators=(",", ":"),
+        )
+        path = atomic_write_chunks(self.path, self._pieces(header))
+        self._rounds_at_last_write = rounds
+        self._written_interrupted = interrupted
+        self._dirty = False
         # Deterministic fault injection (inert without REPRO_FAULT_PLAN).
         from repro.backends.faults import fault_plan
 
         fault_plan().maybe_corrupt("checkpoint", path)
         return path
 
+    def _pieces(self, header: str) -> Iterator[str]:
+        """``header`` with a ``"states"`` list of the cached encodings appended."""
+        yield header[:-1]
+        yield ',"states":['
+        for index, encoded in enumerate(self._encoded):
+            if index:
+                yield ","
+            yield "null" if encoded is None else encoded
+        yield "]}\n"
+
     def save_final(self, interrupted: bool = False) -> str:
-        """Unconditional write at campaign end / graceful interruption."""
+        """Write at campaign end / graceful interruption.
+
+        Skipped when the file on disk already holds exactly this content:
+        no snapshot arrived since the last write and the ``interrupted``
+        flag is unchanged (a resumed run of an interrupted campaign still
+        rewrites it as not interrupted).
+        """
+        if (
+            not self._dirty
+            and interrupted == self._written_interrupted
+            and os.path.exists(self.path)
+        ):
+            return os.path.abspath(self.path)
         return self.save(interrupted=interrupted)

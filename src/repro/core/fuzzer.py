@@ -17,7 +17,7 @@ import base64
 import itertools
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import compute_signature
@@ -173,6 +173,22 @@ class FuzzerReport:
     def modeled_throughput(self) -> float:
         """Test cases per modeled (gem5-equivalent) second."""
         return safe_rate(self.test_cases_executed, self.modeled_seconds)
+
+
+def report_from_state(state: Dict[str, object]) -> FuzzerReport:
+    """The report inside an :meth:`AmuletFuzzer.state_dict` snapshot.
+
+    Snapshots pickle the report without its coverage bitmap and corpus
+    (the snapshot stores both once, as ``coverage`` and ``corpus_entries``);
+    this refills them, energies exact.  Older snapshots that still pickled
+    both copies load the same way: the duplicates are overwritten.
+    """
+    report = pickle.loads(base64.b64decode(state["report_pickle"]))
+    report.coverage_bitmap = bytes.fromhex(state["coverage"]["bitmap_hex"])
+    report.corpus_entries = [
+        CorpusEntry.from_json_dict(payload) for payload in state["corpus_entries"]
+    ]
+    return report
 
 
 class AmuletFuzzer:
@@ -417,6 +433,9 @@ class AmuletFuzzer:
         Corpus energies are stored exactly (not display-rounded as in
         :meth:`CorpusEntry.to_json_dict`) and in insertion order: selection
         weights and iteration order are part of the deterministic stream.
+        The report is pickled without its coverage bitmap and corpus, which
+        the snapshot already holds once; :func:`report_from_state` puts
+        them back.
         """
         self._refresh_report_times()
         corpus_entries = []
@@ -437,7 +456,10 @@ class AmuletFuzzer:
             "coverage": self.coverage.to_json_dict(),
             "corpus_entries": corpus_entries,
             "report_pickle": base64.b64encode(
-                pickle.dumps(self.report, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dumps(
+                    replace(self.report, corpus_entries=[], coverage_bitmap=None),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
             ).decode("ascii"),
             "time": {
                 "modeled_seconds": dict(self.executor.time.modeled_seconds),
@@ -478,11 +500,11 @@ class AmuletFuzzer:
         # Rebuild the corpus in place: the fuzzer, the program source and the
         # report all alias this one object, and insertion order is part of
         # the deterministic selection stream.
+        self.report = report_from_state(state)
         self.corpus._entries.clear()
-        for payload in state["corpus_entries"]:
-            self.corpus.merge_entry(CorpusEntry.from_json_dict(payload))
+        for entry in self.report.corpus_entries:
+            self.corpus.merge_entry(entry)
 
-        self.report = pickle.loads(base64.b64decode(state["report_pickle"]))
         saved_time = state["time"]
         self.executor.time.modeled_seconds = dict(saved_time["modeled_seconds"])
         self.executor.time.wall_clock_seconds = dict(saved_time["wall_clock_seconds"])

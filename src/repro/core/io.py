@@ -5,25 +5,29 @@ checkpoints, campaign summaries, ``BENCH_*.json`` benchmark tables — is an
 accumulation of hours of work; a writer killed mid-``write()`` must never
 leave a truncated file in place of it.  :func:`atomic_write_json` is the one
 idiom (stage to a sibling temp file, then ``os.replace``) every writer routes
-through, and :func:`load_json` is its counterpart: a loader whose failure
+through (:func:`atomic_write_chunks` for writers that splice pre-encoded
+pieces), and :func:`load_json` is its counterpart: a loader whose failure
 mode is a :class:`ValueError` that names the file and the byte offset of the
 damage, never a bare ``JSONDecodeError`` three frames deep.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from typing import Optional
+from typing import Iterable, Optional
 
 
-def atomic_write_json(path: str, payload: object, indent: int = 2) -> str:
-    """Serialize ``payload`` to ``path`` atomically (temp file + rename).
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> str:
+    """Write the text ``chunks`` to ``path`` atomically (temp file + rename).
 
-    The temp file lives next to the target (``os.replace`` must not cross
-    filesystems) and carries the writer's PID so concurrent writers of the
-    same artifact cannot trample each other's staging files.  Returns the
-    absolute path written.
+    The chunks are streamed to the staging file as they come, never joined
+    first, so a writer can splice pre-encoded pieces without holding the
+    whole artifact twice.  The temp file lives next to the target
+    (``os.replace`` must not cross filesystems) and carries the writer's PID
+    so concurrent writers of the same artifact cannot trample each other's
+    staging files.  Returns the absolute path written.
     """
     path = os.path.abspath(path)
     directory = os.path.dirname(path)
@@ -32,13 +36,20 @@ def atomic_write_json(path: str, payload: object, indent: int = 2) -> str:
     staging = f"{path}.tmp.{os.getpid()}"
     try:
         with open(staging, "w") as handle:
-            json.dump(payload, handle, indent=indent, default=str)
-            handle.write("\n")
+            handle.writelines(chunks)
         os.replace(staging, path)
     finally:
         if os.path.exists(staging):
             os.remove(staging)
     return path
+
+
+def atomic_write_json(path: str, payload: object, indent: int = 2) -> str:
+    """Serialize ``payload`` to ``path`` atomically (see :func:`atomic_write_chunks`)."""
+    encoder = json.JSONEncoder(indent=indent, default=str)
+    return atomic_write_chunks(
+        path, itertools.chain(encoder.iterencode(payload), ("\n",))
+    )
 
 
 def load_json(

@@ -19,9 +19,11 @@ Faults are injected deterministically through ``REPRO_FAULT_PLAN`` (see
 
 from __future__ import annotations
 
+import base64
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -34,9 +36,10 @@ from repro.backends import InlineBackend, ProcessPoolBackend
 from repro.backends import simshard
 from repro.backends.faults import reset_fault_plan
 from repro.core import Campaign, FuzzerConfig
+from repro.core import checkpoint as checkpoint_module
 from repro.core.checkpoint import CHECKPOINT_FORMAT, CheckpointManager, campaign_fingerprint
 from repro.core.filtering import unique_violations
-from repro.core.fuzzer import AmuletFuzzer
+from repro.core.fuzzer import AmuletFuzzer, report_from_state
 from repro.core.io import atomic_write_json, load_json
 from repro.feedback.corpus import Corpus
 
@@ -325,6 +328,155 @@ class TestCheckpointResume:
         )
 
 
+def _snapshot(config, rounds):
+    fuzzer = AmuletFuzzer(config)
+    for index in range(rounds):
+        fuzzer.run_round(index)
+    return fuzzer.state_dict()
+
+
+class TestCheckpointLayout:
+    """The compact, encode-once checkpoint file and its compatibility."""
+
+    def test_file_parses_to_the_payload_of_the_indented_writer(self, tmp_path):
+        config = _config(strategy="hybrid")
+        state = _snapshot(config, 2)
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        manager = CheckpointManager(checkpoint, config, 2, interval=100)
+        manager.record_state(0, state)
+        manager.save(interrupted=True)
+
+        # What the indented writer produced for the same snapshots.
+        indented = str(tmp_path / "indented.ckpt")
+        atomic_write_json(
+            indented,
+            {
+                "format": CHECKPOINT_FORMAT,
+                "fingerprint": campaign_fingerprint(config, 2),
+                "instances": 2,
+                "rounds_completed": 2,
+                "interrupted": True,
+                "states": [state, None],
+            },
+        )
+        assert load_json(checkpoint, kind="checkpoint") == load_json(
+            indented, kind="checkpoint"
+        )
+        with open(checkpoint) as handle:
+            assert handle.read().count("\n") == 1  # compact: one line
+
+    def test_snapshot_holds_one_copy_of_the_corpus(self):
+        config = _config(strategy="hybrid")
+        fuzzer = AmuletFuzzer(config)
+        for index in range(2):
+            fuzzer.run_round(index)
+        state = fuzzer.state_dict()
+        pickled = pickle.loads(base64.b64decode(state["report_pickle"]))
+        assert pickled.corpus_entries == [] and pickled.coverage_bitmap is None
+
+        report = report_from_state(json.loads(json.dumps(state)))
+        assert report.coverage_bitmap == fuzzer.report.coverage_bitmap
+        assert [(entry.entry_id, entry.energy) for entry in report.corpus_entries] == [
+            (entry.entry_id, entry.energy) for entry in fuzzer.report.corpus_entries
+        ]
+
+    def test_indented_checkpoint_with_fat_reports_resumes_identically(self, tmp_path):
+        # A checkpoint as the indented writer left it, whose report pickles
+        # still carry their own corpus and coverage bitmap.
+        config = _config(strategy="hybrid")
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        uninterrupted = Campaign(config, instances=2).run()
+        partial = _interrupted_run(config, 2, checkpoint, stop_after=3)
+        assert partial.interrupted
+
+        payload = load_json(checkpoint, kind="checkpoint")
+        for state in payload["states"]:
+            if state is None:
+                continue
+            fat = report_from_state(state)
+            assert fat.corpus_entries
+            state["report_pickle"] = base64.b64encode(
+                pickle.dumps(fat, protocol=pickle.HIGHEST_PROTOCOL)
+            ).decode("ascii")
+        with open(checkpoint, "w") as handle:
+            json.dump(payload, handle, indent=2)
+
+        resumed = _resumed_run(config, 2, checkpoint)
+        assert resumed.resumed_from == checkpoint
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+    def test_save_reencodes_only_changed_snapshots(self, tmp_path, monkeypatch):
+        config = _config()
+        states = [_snapshot(_config(seed=seed), 1) for seed in (3, 4, 5)]
+        encoded, headers = [], []
+        dumps = checkpoint_module.json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            found = obj.get("format") if isinstance(obj, dict) else None
+            if found == AmuletFuzzer.STATE_FORMAT:
+                encoded.append(obj["programs_tested"])
+            elif found == CHECKPOINT_FORMAT:
+                headers.append(obj["rounds_completed"])
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module.json, "dumps", counting_dumps)
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        manager = CheckpointManager(checkpoint, config, 3, interval=1)
+        for index, state in enumerate(states):
+            manager.record_state(index, state)
+        again = dict(states[1], programs_tested=2)
+        manager.record_state(1, again)
+        monkeypatch.undo()
+
+        # Every snapshot triggered a write, yet each was encoded only once.
+        assert headers == [1, 2, 3, 4]
+        assert encoded == [1, 1, 1, 2]
+        written = load_json(checkpoint, kind="checkpoint")
+        assert written["rounds_completed"] == 4
+        assert written["states"] == json.loads(json.dumps([states[0], again, states[2]]))
+
+    def test_final_write_skipped_only_when_the_file_is_current(
+        self, tmp_path, monkeypatch
+    ):
+        config = _config()
+        state = _snapshot(config, 1)
+        writes = []
+        write = checkpoint_module.atomic_write_chunks
+
+        def counting_write(path, chunks):
+            writes.append(path)
+            return write(path, chunks)
+
+        monkeypatch.setattr(checkpoint_module, "atomic_write_chunks", counting_write)
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        manager = CheckpointManager(checkpoint, config, 1, interval=1)
+        manager.record_state(0, state)
+        assert len(writes) == 1
+        assert manager.save_final() == os.path.abspath(checkpoint)
+        assert len(writes) == 1  # nothing new: the periodic write stands
+        manager.save_final(interrupted=True)
+        assert len(writes) == 2  # the flag changed
+        os.remove(checkpoint)
+        manager.save_final(interrupted=True)
+        assert len(writes) == 3  # the file is gone
+        assert load_json(checkpoint, kind="checkpoint")["interrupted"] is True
+
+    def test_resumed_final_write_clears_the_interrupted_flag(self, tmp_path):
+        config = _config()
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        manager = CheckpointManager(checkpoint, config, 1, interval=100)
+        manager.record_state(0, _snapshot(config, 1))
+        manager.save_final(interrupted=True)
+
+        # No snapshot arrives after the resume; the flag alone forces a write.
+        resumed = CheckpointManager(checkpoint, config, 1, interval=100)
+        assert resumed.load() is not None
+        resumed.save_final(interrupted=False)
+        payload = load_json(checkpoint, kind="checkpoint")
+        assert payload["interrupted"] is False
+        assert payload["rounds_completed"] == 1
+
+
 class TestPoolWorkerFaults:
     def test_killed_worker_recovers_identically(self, monkeypatch, tmp_path):
         config = _config()
@@ -351,12 +503,15 @@ class TestPoolWorkerFaults:
         assert multiprocessing.active_children() == []
 
     def test_persistent_death_degrades_and_records_lost_rounds(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         # No generation key: every respawn dies too.  The supervisor burns
         # the retry budget, synthesizes the instance's report from its last
         # snapshot, and records the never-executed rounds as lost.
-        config = _config(max_retries=1, retry_backoff_seconds=0.01)
+        config = _config(
+            max_retries=1, retry_backoff_seconds=0.01, strategy="hybrid"
+        )
+        checkpoint = str(tmp_path / "campaign.ckpt")
         plan = [
             {
                 "action": "kill",
@@ -368,7 +523,10 @@ class TestPoolWorkerFaults:
         monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
         reset_fault_plan()
         backend = ProcessPoolBackend(workers=2)
-        result = Campaign(config, instances=2, backend=backend).run()
+        # Snapshot every round, so the lost instance has one to degrade to.
+        result = Campaign(config, instances=2, backend=backend).run(
+            checkpoint_path=checkpoint, checkpoint_every=1
+        )
 
         faults = result.fault_summary()
         assert faults["counters"].get("worker_death", 0) >= 2
@@ -378,6 +536,21 @@ class TestPoolWorkerFaults:
         assert result.reports[1].programs_tested == config.programs_per_instance
         assert result.reports[0].programs_tested < config.programs_per_instance
         assert multiprocessing.active_children() == []
+
+        # The degraded report is the last snapshot's, feedback included: the
+        # snapshot pickles the report without corpus and coverage, so they
+        # must come back from the snapshot's own copies.
+        snapshot = load_json(checkpoint, kind="checkpoint")["states"][0]
+        degraded = result.reports[0]
+        assert degraded.programs_tested == snapshot["programs_tested"] > 0
+        assert snapshot["corpus_entries"]
+        assert [(entry.entry_id, entry.energy) for entry in degraded.corpus_entries] == [
+            (payload["id"], payload["energy"]) for payload in snapshot["corpus_entries"]
+        ]
+        assert degraded.coverage_bitmap == bytes.fromhex(
+            snapshot["coverage"]["bitmap_hex"]
+        )
+        assert any(degraded.coverage_bitmap)
 
     def test_deadline_overrun_is_force_killed_and_recovered(self, monkeypatch):
         config = _config(
