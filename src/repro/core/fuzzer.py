@@ -653,8 +653,12 @@ class AmuletFuzzer:
         ipc = max(0.0, roundtrip - busy)
         elapsed = time.perf_counter() - contract_started
         self.executor.time.charge_contract_traces(len(test_case))
-        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed - ipc)
-        self._charge_phase("contract", max(0.0, elapsed - ipc - boost))
+        contract = max(0.0, elapsed - ipc - boost)
+        # Boosting derives the round's test inputs: a Table-2 test-generation
+        # cost, not contract-trace extraction.
+        self.executor.time.add_wall_clock(CONTRACT_TRACES, contract)
+        self.executor.time.add_wall_clock(TEST_GENERATION, boost)
+        self._charge_phase("contract", contract)
         self._charge_phase("boost", boost)
         self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
         self._charge_phase("ipc", ipc)

@@ -78,8 +78,15 @@ class Defense:
     def reset_for_run(self) -> None:
         """Clear per-test-case state (speculative buffers, queues, ...)."""
 
-    def tick(self, cycle: int) -> None:
-        """Called once per simulated cycle (used e.g. for expose queues)."""
+    def tick(self, cycle: int) -> Optional[bool]:
+        """Called once per simulated cycle (used e.g. for expose queues).
+
+        Return ``False`` when nothing is pending: every tick would be a
+        no-op until another hook hands the defense new work, and hooks only
+        run on cycles where the pipeline is active anyway.  The core may
+        then fast-forward idle cycles without calling it.  Any other return
+        value (``None``, the default) makes the core call it every cycle.
+        """
 
     def drain_complete(self) -> bool:
         """True when the defense has no pending work left at end of test."""

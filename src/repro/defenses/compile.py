@@ -11,7 +11,11 @@ same tight loops the hand-written implementations did.
 Only the methods a spec actually needs are generated: the out-of-order core
 skips its per-cycle ``tick`` stage and its safety-notification stage for
 defenses that do not override the corresponding hook, and the compiler
-preserves that by omitting the methods entirely.
+preserves that by omitting the methods entirely.  The replay ``tick`` that
+is generated returns whether its queue still holds work (see
+:meth:`Defense.tick`): an empty queue lets the core fast-forward idle
+cycles exactly as it does for defenses without a tick, while a head blocked
+on MSHRs keeps the core stepping every cycle.
 
 ``compile_defense`` also generates the defense's bugs dataclass (one boolean
 field per :class:`~repro.defenses.spec.BugFlag`), wires the patched-variant
@@ -321,12 +325,14 @@ def _build_replay_methods(spec: DefenseSpec) -> dict:
             for line in entry.line_addresses:
                 queue.append((line, entry.pc))
 
-    def tick(self, cycle: int) -> None:
-        """Process the in-order replay queue.
+    def tick(self, cycle: int) -> bool:
+        """Process the in-order replay queue; return whether work remains.
 
         The queue head needing an MSHR while none is free blocks every
         younger replay behind it — the in-order cache-controller queue the
-        paper identifies as the root cause of UV2.
+        paper identifies as the root cause of UV2.  Only ``on_commit``
+        refills the queue, so once it is empty every tick up to the next
+        commit is a no-op.
         """
         queue = self._replay_queue
         memory = self.memory
@@ -356,6 +362,7 @@ def _build_replay_methods(spec: DefenseSpec) -> dict:
                 self.core.stats.record_defense_event(event)
             queue.popleft()
             processed += 1
+        return bool(queue)
 
     def reset_for_run(self) -> None:
         self._replay_queue.clear()

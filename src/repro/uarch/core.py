@@ -378,8 +378,12 @@ class O3Core:
         # earliest such event is exact: the skipped cycles would each have
         # re-scanned the same state and done nothing (MSHR expiry commutes —
         # it releases by release_cycle <= now, so one batched call at the
-        # event cycle frees the same set).  Defenses that override tick()
-        # observe every cycle, so the fast-forward is disabled for them.
+        # event cycle frees the same set).  The defense's tick() is a stage
+        # like the others: when it returns False it has nothing pending
+        # (only the defense's other hooks, which run on active cycles, can
+        # hand it new work), so the skipped cycles' ticks would have been
+        # no-ops.  A tick that returns None (the base default) still
+        # observes every cycle.
         while True:
             self.cycle += 1
             cycle = self.cycle
@@ -387,8 +391,7 @@ class O3Core:
                 break
             if mshrs._busy:
                 expire(cycle)
-            if tick_needed:
-                tick(cycle)
+            ticking = tick_needed and tick(cycle) is not False
             active = False
             if buckets:
                 if self._writeback(cycle):
@@ -406,7 +409,7 @@ class O3Core:
                 end = exit_cycle + drain_cycles
                 if cycle >= end:
                     break
-                if not active and not tick_needed:
+                if not active and not ticking:
                     target = end
                     if buckets:
                         next_bucket = min(buckets)
@@ -421,7 +424,7 @@ class O3Core:
             fetch_code = self._fetch(cycle)
             if fetch_code == 1:
                 active = True
-            if not active and not tick_needed:
+            if not active and not ticking:
                 target = max_cycles + 1
                 if buckets:
                     next_bucket = min(buckets)
@@ -434,31 +437,10 @@ class O3Core:
                 if target > cycle + 1:
                     if fetch_code == 2:
                         # Replay the fetch-ahead steps the skipped cycles
-                        # would have taken, in order — their L1I/L2 installs
-                        # are observable in the trace but nothing in the
-                        # idle window reads them back.  The L1I hit path is
-                        # inlined; misses take the normal install route.
-                        pc = self._fetch_ahead_pc
-                        limit = self._fetch_ahead_limit
-                        step = self._fetch_ahead_step
-                        l1i = self.memory.l1i
-                        l2_install = self.memory.l2.install
-                        line_size = l1i.config.line_size
-                        set_count = l1i.config.sets
-                        l1i_lines = l1i._lines
-                        for _ in range(target - 1 - cycle):
-                            if pc >= limit:
-                                break
-                            line = pc - (pc % line_size)
-                            entry_set = l1i_lines[(pc // line_size) % set_count]
-                            if line in entry_set:
-                                l1i._use_counter += 1
-                                entry_set[line] = l1i._use_counter
-                            else:
-                                l1i.install(line)
-                                l2_install(line)
-                            pc += step
-                        self._fetch_ahead_pc = pc
+                        # would have taken — their L1I/L2 installs are
+                        # observable in the trace but nothing in the idle
+                        # window reads them back.
+                        self._fetch_ahead(target - 1 - cycle)
                     self.cycle = target - 1
 
         self.stats.cycles = self.cycle
@@ -1116,7 +1098,7 @@ class O3Core:
         if cycle < self._fetch_stalled_until:
             return 0
         if self._exit_fetched:
-            return 2 if self._fetch_ahead(cycle) else 0
+            return 2 if self._fetch_ahead() else 0
 
         config = self.config
         at_pc = self.decoded.at_pc
@@ -1178,27 +1160,45 @@ class O3Core:
                 break
         return 1 if fetched else 0
 
-    def _fetch_ahead(self, cycle: int) -> bool:
+    def _fetch_ahead(self, steps: int = 1) -> bool:
         """Speculative fetch past the end of the test while EXIT is in flight.
 
         The number of extra L1I lines touched depends on how long EXIT takes
         to commit, which is what makes timing differences (e.g. CleanupSpec's
         cleanup latency, KV2/unXpec) visible in the instruction cache.
+
+        Takes ``steps`` one-per-cycle steps (the idle fast-forward replays a
+        whole skipped window at once) and returns False when there was none
+        left to take.  Steps are grouped by L1I line: the first step on a
+        line hits or installs it and the rest only re-stamp it, so one stamp
+        after advancing the use counter by the group's size is exact.
         """
         pc = self._fetch_ahead_pc
-        if pc is None or pc >= self._fetch_ahead_limit:
+        limit = self._fetch_ahead_limit
+        if pc is None or pc >= limit:
             return False
+        step = self._fetch_ahead_step
         memory = self.memory
         l1i = memory.l1i
         line_size = l1i.config.line_size
-        line = pc - (pc % line_size)
-        entry_set = l1i._lines[(pc // line_size) % l1i.config.sets]
-        if line in entry_set:
-            l1i._use_counter += 1
+        sets = l1i.config.sets
+        l1i_lines = l1i._lines
+        while steps > 0 and pc < limit:
+            line = pc - (pc % line_size)
+            # Ceiling divisions: the steps still on this line / below limit.
+            count = min(
+                steps, -((pc - line - line_size) // step), -((pc - limit) // step)
+            )
+            entry_set = l1i_lines[(pc // line_size) % sets]
+            if line in entry_set:
+                l1i._use_counter += count
+            else:
+                memory.instruction_fetch(pc)
+                l1i._use_counter += count - 1
             entry_set[line] = l1i._use_counter
-        else:
-            memory.instruction_fetch(pc)
-        self._fetch_ahead_pc = pc + self._fetch_ahead_step
+            pc += count * step
+            steps -= count
+        self._fetch_ahead_pc = pc
         return True
 
     def _dispatch(

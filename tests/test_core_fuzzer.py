@@ -20,6 +20,7 @@ from repro.core.testcase import TestCase as RelationalTestCase
 from repro.core.violation import Violation
 from repro.defenses.registry import create_defense
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
+from repro.executor.startup import CONTRACT_TRACES, TEST_GENERATION
 from repro.executor.traces import MEMORY_ACCESS_ORDER_TRACE, UarchTrace
 from repro.litmus import get_case
 from repro.model.emulator import ContractTrace
@@ -207,6 +208,22 @@ class TestFuzzerEndToEnd:
         config = FuzzerConfig(inputs_per_program=14, boost_factor=6)
         assert config.base_inputs_per_program == 2
         assert config.effective_inputs_per_program() == 14
+
+    def test_boosting_is_booked_as_test_generation(self):
+        # Table 2 has no boosting row: deriving the boosted inputs is test
+        # generation, and contract-trace extraction keeps only its own time.
+        config = FuzzerConfig(
+            defense="stt", programs_per_instance=1, inputs_per_program=14, seed=3
+        )
+        fuzzer = AmuletFuzzer(config)
+        fuzzer.run_round(0)
+        phases = fuzzer.report.phase_breakdown
+        wall = fuzzer.executor.time.wall_clock_seconds
+        assert phases["boost"] > 0
+        assert wall[TEST_GENERATION] == pytest.approx(
+            phases["generate"] + phases["boost"]
+        )
+        assert wall[CONTRACT_TRACES] == pytest.approx(phases["contract"])
 
 
 class TestCampaign:
