@@ -86,7 +86,6 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.isa import specialized
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
 
@@ -95,17 +94,11 @@ BASELINE_PATH = os.path.join(HERE, "throughput_baseline.json")
 FLOOR_PATH = os.path.join(HERE, "throughput_floor.json")
 
 
-def artifact_path(
-    filter_level: "FilterLevel",
-    specialize: bool = True,
-    sim_workers: int = 0,
-) -> str:
-    """Filtered / interpreted / sharded runs get their own artifact so they
-    never overwrite the unfiltered measurement CI uploads for the perf
+def artifact_path(filter_level: "FilterLevel", sim_workers: int = 0) -> str:
+    """Filtered / sharded runs get their own artifact so they never
+    overwrite the unfiltered measurement CI uploads for the perf
     trajectory."""
     suffix = "" if filter_level is FilterLevel.NONE else f"_{filter_level.value}"
-    if not specialize:
-        suffix += "_nospec"
     if sim_workers:
         suffix += f"_simworkers{sim_workers}"
     return os.path.join(HERE, "artifacts", f"BENCH_throughput{suffix}.json")
@@ -148,7 +141,6 @@ def measure_end_to_end(
     inputs: int,
     filter_level: FilterLevel = FilterLevel.NONE,
     boost_factor: Optional[int] = None,
-    specialize: bool = True,
     sim_workers: int = 0,
 ) -> Dict[str, object]:
     """One inline-backend campaign; returns test-cases/sec and a time split."""
@@ -158,7 +150,6 @@ def measure_end_to_end(
         inputs_per_program=inputs,
         seed=SEED,
         filter=filter_level,
-        specialize=specialize,
         sim_workers=sim_workers,
     )
     if boost_factor is not None:
@@ -189,22 +180,14 @@ def measure_end_to_end(
     return row
 
 
-def measure_emulator_only(
-    programs: int, inputs: int, specialize: bool = True
-) -> Dict[str, object]:
-    """Contract-trace throughput under CT-COND (speculation + taint).
-
-    The first input of each program pays that program's compile when its
-    artifact is not already cached from the end-to-end scenarios (same
-    seeded program stream), so the row includes cache warmup effects just
-    like a campaign's first round does.
-    """
+def measure_emulator_only(programs: int, inputs: int) -> Dict[str, object]:
+    """Contract-trace throughput under CT-COND (speculation + taint)."""
     sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
     contract = get_contract("CT-COND")
     runs = 0
     started = time.perf_counter()
     for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=specialize)
+        emulator = Emulator(program, sandbox)
         for test_input in test_inputs:
             emulator.run(test_input, contract)
             runs += 1
@@ -216,9 +199,7 @@ def measure_emulator_only(
     }
 
 
-def measure_core_only(
-    programs: int, inputs: int, specialize: bool = True
-) -> Dict[str, object]:
+def measure_core_only(programs: int, inputs: int) -> Dict[str, object]:
     """O3 simulation throughput (baseline defense, OPT lifecycle)."""
     sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
     runs = 0
@@ -229,7 +210,6 @@ def measure_core_only(
             defense_factory="baseline",
             sandbox=sandbox,
             mode=ExecutionMode.OPT,
-            specialize=specialize,
         )
         executor.load_program(program)
         for test_input in test_inputs:
@@ -243,62 +223,6 @@ def measure_core_only(
         "seconds": round(elapsed, 3),
         "simulations_per_second": round(runs / elapsed, 2),
         "instructions_per_second": round(instructions / elapsed, 1),
-    }
-
-
-def measure_specialization(programs: int, inputs: int) -> Dict[str, object]:
-    """Compile cost and cache behavior of the specialization layer.
-
-    Measures, on a fresh compile cache: the cold cost of compiling each
-    program's runner (the first emulator run pays it), the cache hit rate
-    once every artifact exists, and a specialized-vs-interpreted A/B of the
-    same emulator workload.  Runs *last* in the suite because it clears the
-    process-wide cache the other scenarios share.
-    """
-    sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
-    contract = get_contract("CT-COND")
-
-    specialized.clear_cache()
-    before = specialized.stats_snapshot()
-    started = time.perf_counter()
-    for program in program_list:
-        Emulator(program, sandbox, specialize=True).run(test_inputs[0], contract)
-    cold_elapsed = time.perf_counter() - started
-    after_cold = specialized.stats_snapshot()
-
-    started = time.perf_counter()
-    for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=True)
-        for test_input in test_inputs:
-            emulator.run(test_input, contract)
-    warm_elapsed = time.perf_counter() - started
-    after_warm = specialized.stats_snapshot()
-
-    started = time.perf_counter()
-    for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=False)
-        for test_input in test_inputs:
-            emulator.run(test_input, contract)
-    interpreted_elapsed = time.perf_counter() - started
-
-    compile_seconds = after_cold["compile_seconds"] - before["compile_seconds"]
-    warm_lookups = (after_warm["hits"] + after_warm["misses"]) - (
-        after_cold["hits"] + after_cold["misses"]
-    )
-    warm_hits = after_warm["hits"] - after_cold["hits"]
-    runs = len(program_list) * len(test_inputs)
-    return {
-        "programs": len(program_list),
-        "compile_seconds": round(compile_seconds, 6),
-        "compile_ms_per_program": round(1e3 * compile_seconds / len(program_list), 3),
-        "cold_misses": int(after_cold["misses"] - before["misses"]),
-        "warm_cache_hits": int(warm_hits),
-        "warm_hit_rate": round(warm_hits / warm_lookups, 4) if warm_lookups else None,
-        "specialized_traces_per_second": round(runs / warm_elapsed, 2),
-        "interpreted_traces_per_second": round(runs / interpreted_elapsed, 2),
-        "specialized_speedup": (
-            round(interpreted_elapsed / warm_elapsed, 2) if warm_elapsed else None
-        ),
     }
 
 
@@ -321,7 +245,6 @@ def _wide_campaign(
     programs: int,
     inputs: int,
     sim_workers: int,
-    specialize: bool,
 ) -> Dict[str, object]:
     """One wide (unboosted) campaign at the given ``sim_workers`` setting."""
     config = FuzzerConfig(
@@ -330,7 +253,6 @@ def _wide_campaign(
         inputs_per_program=inputs,
         seed=SEED,
         filter=FilterLevel.NONE,
-        specialize=specialize,
         sim_workers=sim_workers,
     )
     config.boost_factor = 0
@@ -355,13 +277,12 @@ def _best_of(
     programs: int,
     inputs: int,
     sim_workers: int,
-    specialize: bool,
     repeats: int,
 ) -> Dict[str, object]:
     """Fastest of ``repeats`` identical campaigns (results must not vary)."""
     best: Optional[Dict[str, object]] = None
     for _ in range(max(1, repeats)):
-        run = _wide_campaign(defense, programs, inputs, sim_workers, specialize)
+        run = _wide_campaign(defense, programs, inputs, sim_workers)
         if best is not None and (
             run["violations"] != best["violations"]
             or run["signatures"] != best["signatures"]
@@ -378,7 +299,6 @@ def measure_parallel_simulation(
     programs: int,
     inputs: int,
     defenses=DEFENSES,
-    specialize: bool = True,
     repeats: int = 5,
     measured_workers=(2, 4),
     projection_workers=(2, 4),
@@ -401,12 +321,12 @@ def measure_parallel_simulation(
     rows: List[Dict[str, object]] = []
     equivalence_ok = True
     for defense in defenses:
-        sharded = _best_of(defense, programs, inputs, 0, specialize, repeats)
+        sharded = _best_of(defense, programs, inputs, 0, repeats)
 
         measured_pool: Dict[str, object] = {}
         transport: Optional[Dict[str, object]] = None
         for workers in measured_workers:
-            pooled = _wide_campaign(defense, programs, inputs, workers, specialize)
+            pooled = _wide_campaign(defense, programs, inputs, workers)
             if (
                 pooled["violations"] != sharded["violations"]
                 or pooled["signatures"] != sharded["signatures"]
@@ -481,7 +401,7 @@ def measure_parallel_simulation(
         )
     shutdown_pool()
 
-    headline = next((row for row in rows if row["defense"] == "baseline"), rows[0])
+    baseline_row = next((row for row in rows if row["defense"] == "baseline"), rows[0])
     w_max = str(max(projection_workers))
     return {
         "budget": {"programs": programs, "inputs": inputs},
@@ -495,10 +415,8 @@ def measure_parallel_simulation(
         ),
         "rows": rows,
         "equivalence_ok": equivalence_ok,
-        "headline_projected_tcs": headline["projected"][w_max][
-            "test_cases_per_second"
-        ],
-        "headline_projected_speedup": headline["projected_speedup_vs_single"],
+        "projected_tcs": baseline_row["projected"][w_max]["test_cases_per_second"],
+        "projected_speedup": baseline_row["projected_speedup_vs_single"],
     }
 
 
@@ -523,7 +441,6 @@ def measure_serialization(
             defense_factory="baseline",
             sandbox=sandbox,
             mode=ExecutionMode.OPT,
-            specialize=True,
         )
         executor.load_program(program)
         for test_input in test_inputs:
@@ -695,7 +612,6 @@ def run_suite(
     budget: Dict[str, int],
     defenses=DEFENSES,
     filter_level: FilterLevel = FilterLevel.NONE,
-    specialize: bool = True,
     sim_workers: int = 0,
     parallel_section: bool = False,
 ) -> Dict[str, object]:
@@ -703,7 +619,7 @@ def run_suite(
     for defense in defenses:
         row = measure_end_to_end(
             defense, budget["programs"], budget["inputs"], filter_level,
-            specialize=specialize, sim_workers=sim_workers,
+            sim_workers=sim_workers,
         )
         end_to_end.append(row)
         print(
@@ -718,7 +634,6 @@ def run_suite(
             budget["wide_inputs"],
             filter_level,
             boost_factor=0,
-            specialize=specialize,
             sim_workers=sim_workers,
         )
         end_to_end_wide.append(row)
@@ -737,7 +652,6 @@ def run_suite(
             budget["wide_programs"],
             budget["wide_inputs"],
             defenses=defenses,
-            specialize=specialize,
         )
     serialization_row = measure_serialization(
         budget["micro_programs"], min(budget["micro_inputs"], 8)
@@ -756,36 +670,19 @@ def run_suite(
         f"{checkpoint_row['indented_full_report']['seconds_per_save']} / "
         f"{checkpoint_row['compact_encode_once']['seconds_per_save']} s per save"
     )
-    emulator_row = measure_emulator_only(
-        budget["micro_programs"], budget["micro_inputs"], specialize=specialize
-    )
+    emulator_row = measure_emulator_only(budget["micro_programs"], budget["micro_inputs"])
     print(f"  emulator-only (CT-COND)   {emulator_row['traces_per_second']:>8} traces/s")
-    core_row = measure_core_only(
-        budget["micro_programs"], budget["micro_inputs"], specialize=specialize
-    )
+    core_row = measure_core_only(budget["micro_programs"], budget["micro_inputs"])
     print(f"  core-only (baseline O3)   {core_row['simulations_per_second']:>8} sims/s")
     hash_row = measure_trace_hashing()
     print(
         f"  trace-hash (cold/cached)  {hash_row['cold_hashes_per_second']:>8} / "
         f"{hash_row['cached_hashes_per_second']} hashes/s"
     )
-    specialization_row = None
-    if specialize:
-        # Last: clears the process-wide compile cache the scenarios above share.
-        specialization_row = measure_specialization(
-            budget["micro_programs"], budget["micro_inputs"]
-        )
-        print(
-            f"  specialization            "
-            f"{specialization_row['compile_ms_per_program']:>8} ms/program compile, "
-            f"hit rate {specialization_row['warm_hit_rate']}, "
-            f"A/B {specialization_row['specialized_speedup']}x"
-        )
     suite: Dict[str, object] = {
         "budget": dict(budget),
         "seed": SEED,
         "filter": filter_level.value,
-        "specialize": specialize,
         "end_to_end": end_to_end,
         "end_to_end_wide": end_to_end_wide,
         "emulator_only": emulator_row,
@@ -793,7 +690,6 @@ def run_suite(
         "trace_hash": hash_row,
         "serialization": serialization_row,
         "checkpoint": checkpoint_row,
-        "specialization": specialization_row,
     }
     if sim_workers:
         suite["sim_workers"] = sim_workers
@@ -838,13 +734,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail (exit 1) if end-to-end throughput regresses >30%% below the floor",
     )
     parser.add_argument(
-        "--no-specialize",
-        dest="specialize",
-        action="store_false",
-        help="run the generic interpreters instead of per-program compiled "
-        "execution (A/B switch; artifact gets a _nospec suffix)",
-    )
-    parser.add_argument(
         "--require-skips",
         action="store_true",
         help="fail (exit 1) unless the filtered run skipped at least one test case "
@@ -864,8 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     filter_level = FilterLevel(args.filter)
     if args.record_baseline and filter_level is not FilterLevel.NONE:
         parser.error("--record-baseline always uses filter=none (the seed behavior)")
-    if args.record_baseline and not args.specialize:
-        parser.error("--record-baseline measures the shipped (specialized) path")
     if args.record_baseline and args.sim_workers:
         parser.error("--record-baseline measures the inline default")
     if args.sim_workers < 0:
@@ -873,16 +760,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     budget = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     label = "smoke" if args.smoke else "full"
-    mode = "specialized" if args.specialize else "interpreted"
     sharding = f", sim-workers={args.sim_workers}" if args.sim_workers else ""
     print(
-        f"== throughput benchmark ({label} budget, filter={filter_level.value}, "
-        f"{mode}{sharding}) =="
+        f"== throughput benchmark ({label} budget, filter={filter_level.value}"
+        f"{sharding}) =="
     )
     suite = run_suite(
         budget,
         filter_level=filter_level,
-        specialize=args.specialize,
         sim_workers=args.sim_workers,
         # The parallel-simulation study rides only on the full, unfiltered,
         # inline run — the one whose artifact CI tracks for the perf
@@ -905,7 +790,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "label": "Fuzzing throughput (test cases per second)",
         "budget_label": label,
         "filter": filter_level.value,
-        "specialize": args.specialize,
         "current": suite,
     }
 
@@ -962,9 +846,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         artifact["speedup_vs_pre_pr"] = None
         print("  [warn] baseline budget differs from current budget; no speedups computed")
 
-    destination = artifact_path(
-        filter_level, specialize=args.specialize, sim_workers=args.sim_workers
-    )
+    destination = artifact_path(filter_level, sim_workers=args.sim_workers)
     atomic_write_json(destination, artifact)
     print(f"[artifact] {os.path.relpath(destination)}")
 
@@ -1001,7 +883,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # over the measured inline run), so it holds across machines of
             # different absolute speed — no -30% slack needed.
             ratio_floor = floor.get("parallel_projected_speedup")
-            ratio = parallel.get("headline_projected_speedup")
+            ratio = parallel.get("projected_speedup")
             if ratio_floor is not None:
                 verdict = (
                     "ok" if ratio and ratio >= float(ratio_floor) else "REGRESSION"

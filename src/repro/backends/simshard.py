@@ -19,8 +19,8 @@ processes, and both give the same answer:
   records are the same.)
 * workers keep a :class:`SimulatorExecutor` per :class:`ExecutorSpec`
   (defense, uarch config, mode, trace format, ...) alive across rounds, so
-  the process-wide specialization cache and the executor's primed machinery
-  are reused instead of re-pickled per round;
+  the executor's primed machinery is reused instead of re-pickled per
+  round;
 * pooled results travel back in a **compact wire format**: a BLAKE2b digest
   of each micro-architectural trace plus the :class:`CoreStatistics` the
   coverage map needs — the detector only groups traces by equality, so
@@ -111,7 +111,7 @@ class ExecutorSpec:
     All fields are hashable (``TraceConfig`` and ``UarchConfig`` are frozen
     dataclasses), so a worker's executor cache is a plain dict keyed by the
     spec — two fuzzing instances with the same configuration share one
-    executor and its warmed specialization artifacts.
+    executor.
     """
 
     defense: str
@@ -121,7 +121,6 @@ class ExecutorSpec:
     trace_config: TraceConfig
     uarch_config: UarchConfig
     sandbox_pages: int
-    specialize: bool
 
     @staticmethod
     def from_fuzzer_config(config, sandbox_pages: int) -> "ExecutorSpec":
@@ -135,7 +134,6 @@ class ExecutorSpec:
             trace_config=config.trace_config,
             uarch_config=config.uarch_config,
             sandbox_pages=sandbox_pages,
-            specialize=config.specialize,
         )
 
     def build_executor(self) -> SimulatorExecutor:
@@ -153,7 +151,6 @@ class ExecutorSpec:
                 if self.prime_strategy is not None
                 else None
             ),
-            specialize=self.specialize,
         )
 
 
@@ -189,7 +186,6 @@ class ContractSpec:
 
     contract: str
     sandbox_pages: int
-    specialize: bool
     boost_factor: int
     #: The fuzzing instance's input-generator seed: a worker generator built
     #: from it materializes counter-addressed base inputs bit-identically.
@@ -208,7 +204,7 @@ class ContractTask:
 
     ``program_key`` is unique per (instance, round); workers key their cached
     :class:`~repro.model.emulator.Emulator` on it so all base inputs of a
-    round share one decoded/compiled program.
+    round share one decoded program.
     """
 
     task_id: int
@@ -487,7 +483,7 @@ class ContractRunner:
 
     Caches one :class:`InputGenerator` per spec (sandboxes are per-spec) and
     one :class:`~repro.model.emulator.Emulator` per (spec, program_key), so
-    every base input of a round reuses the round's decoded/compiled program.
+    every base input of a round reuses the round's decoded program.
     """
 
     def __init__(self) -> None:
@@ -505,9 +501,7 @@ class ContractRunner:
             self._generators[spec] = generator
         cached = self._emulators.get(spec)
         if cached is None or cached[0] != task.program_key:
-            emulator = Emulator(
-                task.program, generator.sandbox, specialize=spec.specialize
-            )
+            emulator = Emulator(task.program, generator.sandbox)
             self._emulators[spec] = (task.program_key, emulator)
         else:
             emulator = cached[1]

@@ -119,19 +119,8 @@ class CampaignResult:
         return sum(report.test_cases_generated for report in self.reports)
 
     def specialization_counters(self) -> Dict[str, float]:
-        """Summed specialization-cache counters across instance reports."""
-        totals: Dict[str, float] = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "compile_seconds": 0.0,
-            "fallbacks": 0,
-        }
-        for report in self.reports:
-            for name, value in getattr(report, "specialization", {}).items():
-                if name in totals:
-                    totals[name] += value
-        totals["compile_seconds"] = round(totals["compile_seconds"], 6)
-        return totals
+        """All zero: nothing is compiled; ``perfbench/workloads.py`` reads it."""
+        return {"cache_hits": 0, "cache_misses": 0, "compile_seconds": 0.0, "fallbacks": 0}
 
     def skip_counters(self) -> Dict[str, int]:
         """Scheduler-skipped test cases per filter reason, across instances."""
@@ -440,7 +429,6 @@ class CampaignResult:
             "test_cases": self.total_test_cases,
             "test_cases_generated": self.total_test_cases_generated,
             "skip_counters": self.skip_counters(),
-            "specialization": self.specialization_counters(),
             "violations": self.violation_count(),
             "unique_violations": len(groups),
             "avg_detection_seconds": self.average_detection_seconds(),

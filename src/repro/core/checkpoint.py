@@ -71,6 +71,9 @@ def campaign_fingerprint(config: FuzzerConfig, instances: int) -> str:
     for name in _EXECUTION_ONLY_FIELDS:
         payload.pop(name, None)
     payload["instances"] = instances
+    # The removed ``specialize`` knob (always True by default) stays in the
+    # digest so checkpoints written before its removal still resume.
+    payload["specialize"] = True
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 

@@ -42,7 +42,6 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import Input, InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.isa.specialized import stats_snapshot
 from repro.model.contracts import get_contract
 
 
@@ -125,11 +124,6 @@ class FuzzerReport:
     #: and per-dispatch task busy seconds (benchmarks derive multi-worker
     #: makespan projections from the latter).
     parallel_sim: Dict[str, object] = field(default_factory=dict)
-    #: Specialization-cache counters accumulated while this instance ran
-    #: (``cache_hits`` / ``cache_misses`` / ``compile_seconds`` /
-    #: ``fallbacks``); all zero when the instance ran with
-    #: ``specialize=False``.
-    specialization: Dict[str, float] = field(default_factory=dict)
     #: Fault accounting for supervised execution: per-reason counters
     #: ("worker_death", "deadline", "force_kill", ...) plus the program
     #: indices of rounds that were abandoned after ``max_retries``
@@ -238,7 +232,6 @@ class AmuletFuzzer:
             trace_config=config.trace_config,
             mode=config.mode,
             prime_strategy=config.prime_strategy,
-            specialize=config.specialize,
         )
         self.detector = ViolationDetector(config.defense, self.contract_name)
         self.scheduler = ExecutionScheduler(config.filter)
@@ -261,7 +254,6 @@ class AmuletFuzzer:
         self._contract_spec = ContractSpec(
             contract=self.contract_name,
             sandbox_pages=self.sandbox.pages,
-            specialize=config.specialize,
             boost_factor=config.boost_factor,
             generator_seed=config.seed,
         )
@@ -270,10 +262,6 @@ class AmuletFuzzer:
         self._start_time: Optional[float] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
-        # The specialization counters are process-wide; remember where they
-        # stood when this instance started so the report carries only the
-        # instance's own deltas (hits from other inline instances excluded).
-        self._spec_stats_start = stats_snapshot()
         self.report = FuzzerReport(defense=config.defense, contract=self.contract_name)
 
     # -- single round -------------------------------------------------------------
@@ -513,19 +501,8 @@ class AmuletFuzzer:
         self._stopped = state["stopped"]
         self._target_programs = state.get("target_programs")
         self._next_task_id = max(self._next_task_id, state.get("next_task_id", 0))
-        # Continue the wall clock where the snapshot left it, and re-baseline
-        # the process-wide specialization counters so the report keeps
-        # accumulating this instance's own deltas.
+        # Continue the wall clock where the snapshot left it.
         self._start_time = time.perf_counter() - self.report.wall_clock_seconds
-        current = stats_snapshot()
-        saved = self.report.specialization or {}
-        self._spec_stats_start = {
-            "hits": current["hits"] - saved.get("cache_hits", 0),
-            "misses": current["misses"] - saved.get("cache_misses", 0),
-            "compile_seconds": current["compile_seconds"]
-            - saved.get("compile_seconds", 0.0),
-            "fallbacks": current["fallbacks"] - saved.get("fallbacks", 0),
-        }
         self._refresh_report_feedback()
 
     # -- internals ----------------------------------------------------------------------
@@ -723,16 +700,6 @@ class AmuletFuzzer:
             sim_faults["sim_force_kills"] = self.sim_router.force_kills
         if sim_faults:
             self.report.faults.setdefault("counters", {}).update(sim_faults)
-        current = stats_snapshot()
-        start = self._spec_stats_start
-        self.report.specialization = {
-            "cache_hits": current["hits"] - start["hits"],
-            "cache_misses": current["misses"] - start["misses"],
-            "compile_seconds": round(
-                current["compile_seconds"] - start["compile_seconds"], 6
-            ),
-            "fallbacks": current["fallbacks"] - start["fallbacks"],
-        }
         self._refresh_report_feedback()
 
     def _refresh_report_feedback(self) -> None:

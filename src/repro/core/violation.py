@@ -80,11 +80,6 @@ class Violation:
     mode: Optional[str] = None
     #: Name of the trace format the violation was observed in.
     trace_config_name: Optional[str] = None
-    #: Did the detecting executor run specialized (compiled) programs?
-    #: Re-runs keep the setting — and with it the shared content-addressed
-    #: compile cache, so triage re-executions of a corpus program hit the
-    #: artifact the detecting round already built.
-    specialize: bool = True
 
     def record_provenance(
         self, executor: "SimulatorExecutor", patched: bool = False
@@ -96,7 +91,6 @@ class Violation:
         self.prime_strategy = executor.prime_strategy.value
         self.mode = executor.mode.value
         self.trace_config_name = executor.trace_config.name
-        self.specialize = getattr(executor, "specialize", True)
 
     def build_executor(
         self,
@@ -132,7 +126,6 @@ class Violation:
             sandbox=sandbox,
             mode=ExecutionMode(self.mode) if self.mode else ExecutionMode.OPT,
             prime_strategy=self.prime_strategy,
-            specialize=self.specialize,
             **kwargs,
         )
 

@@ -89,7 +89,6 @@ class SimulatorExecutor:
         mode: ExecutionMode = ExecutionMode.OPT,
         prime_strategy: Optional[PrimeStrategy] = None,
         time_model: Optional[TimeModel] = None,
-        specialize: bool = True,
     ) -> None:
         if isinstance(defense_factory, str):
             defense_name = defense_factory
@@ -100,9 +99,6 @@ class SimulatorExecutor:
         self.sandbox = sandbox or Sandbox()
         self.trace_config = trace_config
         self.mode = ExecutionMode(mode)
-        #: Compile per-program specialized execution artifacts (the default);
-        #: False forces the generic interpreter everywhere (--no-specialize).
-        self.specialize = specialize
         probe_defense = self.defense_factory()
         self.defense_name = probe_defense.name
         if prime_strategy is None:
@@ -144,7 +140,6 @@ class SimulatorExecutor:
                 config=self.uarch_config,
                 defense=self.defense_factory(),
                 sandbox=self.sandbox,
-                specialize=self.specialize,
             )
         self.simulator_starts += 1
         self.time.charge_startup()
@@ -221,7 +216,7 @@ class SimulatorExecutor:
         """Run a batch of inputs of the loaded program back-to-back.
 
         In Opt mode every input reuses the one already-constructed core (and
-        its decoded/compiled program), so the per-program setup cost is paid
+        its decoded program), so the per-program setup cost is paid
         once for the whole batch — this is how the fuzzer routes a contract-
         equivalence class's executable entries through the simulator.
         """
@@ -263,7 +258,7 @@ class SimulatorExecutor:
         from repro.core.testcase import TestCase
         from repro.model.emulator import Emulator
 
-        emulator = Emulator(program, self.sandbox, specialize=self.specialize)
+        emulator = Emulator(program, self.sandbox)
         test_case = TestCase(program=program)
         for test_input, model_result in zip(
             inputs, emulator.collect_traces_batch(inputs, contract)
@@ -300,7 +295,6 @@ class SimulatorExecutor:
             "mode": self.mode.value,
             "trace": self.trace_config.name,
             "prime": self.prime_strategy.value,
-            "specialize": self.specialize,
             "uarch": self.uarch_config.describe(),
             "sandbox_pages": self.sandbox.pages,
         }

@@ -73,7 +73,6 @@ class DecodedInstruction:
         "mem_displacement",
         "mem_size",
         "exec_kind",
-        "effect_fn",
     )
 
     #: ``exec_kind`` values: integer dispatch for the O3 execute stage,
@@ -151,10 +150,6 @@ class DecodedInstruction:
             self.exec_kind = DecodedInstruction.KIND_SIMPLE
         else:
             self.exec_kind = DecodedInstruction.KIND_ALU
-        #: Specialized ``evaluate`` closure, attached lazily by
-        #: :func:`repro.isa.specialized.attach_effect_closures`; None until
-        #: (and unless) specialization is enabled for this program.
-        self.effect_fn: Optional[Callable] = None
 
     def effective_address(self, read_register: ReadRegister) -> int:
         """Resolve this instruction's memory address.

@@ -23,7 +23,6 @@ from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.program import Program
 from repro.isa.registers import ArchState
 from repro.isa.semantics import ExecutionEffect, evaluate, execute_on_state
-from repro.isa.specialized import attach_effect_closures, runner_for
 from repro.model.contracts import Contract
 from repro.model.taint import TaintState
 
@@ -144,18 +143,12 @@ class Emulator:
         program: Program,
         sandbox: Optional[Sandbox] = None,
         instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT,
-        specialize: bool = True,
+        specialize: bool = True,  # ignored; perfbench/gate.py still passes it
     ) -> None:
         self.program = program
         self.decoded = decode_program(program)
         self.sandbox = sandbox or Sandbox()
         self.instruction_limit = instruction_limit
-        self.specialize = specialize
-        if specialize:
-            # Specialized evaluate() closures for the (interpreted)
-            # speculative-exploration path; the architectural path uses the
-            # whole-program compiled runner instead.
-            attach_effect_closures(self.decoded)
         # Reused across runs: load_input() rewrites every byte, so a single
         # buffer replaces a fresh bytearray allocation per test input.
         self._sandbox_buffer = bytearray(self.sandbox.size)
@@ -181,38 +174,15 @@ class Emulator:
             "tainted_accesses": 0,
         }
 
-        runner = None
-        if self.specialize:
-            runner = runner_for(
-                self.program, self.decoded, contract, self.instruction_limit
-            )
-        if runner is not None:
-            if contract.speculate_branches and contract.max_nesting > 0:
-                # Speculative exploration stays interpreted: the compiled
-                # artifact calls back here at each conditional branch with
-                # the mispredicted pc.
-                def spec(wrong_pc: int) -> None:
-                    spec_undo = _UndoLog(state)
-                    spec_taint_mark = taint.snapshot()
-                    self._run_speculative(
-                        state, taint, contract, wrong_pc, observations,
-                        executed_pcs, accesses, counters, 1, spec_undo,
-                    )
-                    spec_undo.rollback()
-                    taint.restore(spec_taint_mark)
-            else:
-                spec = None
-            runner(state, taint, observations, executed_pcs, accesses, counters, spec)
-        else:
-            self._run_architectural(
-                state=state,
-                taint=taint,
-                contract=contract,
-                observations=observations,
-                executed_pcs=executed_pcs,
-                accesses=accesses,
-                counters=counters,
-            )
+        self._run_architectural(
+            state=state,
+            taint=taint,
+            contract=contract,
+            observations=observations,
+            executed_pcs=executed_pcs,
+            accesses=accesses,
+            counters=counters,
+        )
 
         return ModelResult(
             trace=ContractTrace(tuple(observations)),
@@ -235,13 +205,12 @@ class Emulator:
     def collect_traces_batch(
         self, inputs: List[Input], contract: Contract
     ) -> List[ModelResult]:
-        """Run many inputs back-to-back through one compiled artifact.
+        """Run many inputs back-to-back through one decoded program.
 
-        The program is decoded and compiled exactly once (in ``__init__`` /
-        the first ``run``); every input then reuses the same sandbox buffer
-        and runner.  This is the model-side half of batched test-case
-        execution: all boosted inputs of a test case share the per-program
-        setup cost.
+        The program is decoded exactly once (in ``__init__``); every input
+        then reuses the same decoded instructions and sandbox buffer.  This
+        is the model-side half of batched test-case execution: all boosted
+        inputs of a test case share the per-program setup cost.
         """
         return [self.run(test_input, contract) for test_input in inputs]
 
@@ -360,13 +329,9 @@ class Emulator:
                 taint.restore(nested_mark)
 
             # Record old values before applying so the caller can roll back.
-            effect_fn = entry.effect_fn if self.specialize else None
-            if effect_fn is not None:
-                effect = effect_fn(state.registers.read, flags, state.read_memory)
-            else:
-                effect = evaluate(
-                    entry.instruction, state.registers.read, flags, state.read_memory
-                )
+            effect = evaluate(
+                entry.instruction, state.registers.read, flags, state.read_memory
+            )
             undo.record_effect(effect)
             self._apply_effect(effect, state)
             self._propagate_taint(entry, effect, taint)

@@ -335,6 +335,56 @@ def _snapshot(config, rounds):
     return fuzzer.state_dict()
 
 
+class TestRemovedSpecializeKnob:
+    """Campaigns and violations from before the ``specialize`` knob was
+    removed still resume and re-run."""
+
+    def test_default_fingerprints_are_unchanged(self):
+        assert campaign_fingerprint(FuzzerConfig(), 1) == "ba980e9b7e4522774434638bb0528f22"
+        assert campaign_fingerprint(FuzzerConfig(), 4) == "8990632546092e7246297ce0adb01a37"
+
+    def test_violation_carrying_specialize_round_trips_and_rebuilds(self):
+        result = Campaign(_config(programs=2), instances=1).run()
+        assert result.violations
+        violation = result.violations[0]
+        expected = violation.build_executor()
+        violation.__dict__["specialize"] = False  # as pickled by older versions
+        restored = pickle.loads(pickle.dumps(violation))
+        assert restored.__dict__["specialize"] is False
+        executor = restored.build_executor()
+        assert executor.describe() == expected.describe()
+        traces = []
+        for candidate in (expected, executor):
+            candidate.load_program(restored.program)
+            traces.append(
+                candidate.run_pair_with_shared_context(
+                    restored.input_a, restored.input_b, restored.uarch_context
+                )
+            )
+        assert traces[0] == traces[1]
+
+    def test_restore_accepts_a_report_with_specialization_counters(self):
+        config = _config(programs=4, strategy="hybrid")
+        straight = AmuletFuzzer(config)
+        for index in range(4):
+            straight.run_round(index)
+
+        state = json.loads(json.dumps(_snapshot(config, 2)))
+        report = pickle.loads(base64.b64decode(state["report_pickle"]))
+        report.__dict__["specialization"] = {
+            "cache_hits": 3, "cache_misses": 2, "compile_seconds": 0.01, "fallbacks": 0,
+        }
+        state["report_pickle"] = base64.b64encode(pickle.dumps(report)).decode("ascii")
+
+        resumed = AmuletFuzzer(config)
+        resumed.restore_state(state)
+        for index in range(2, 4):
+            resumed.run_round(index)
+        assert resumed.report.programs_tested == straight.report.programs_tested
+        assert resumed.report.test_cases_executed == straight.report.test_cases_executed
+        assert resumed.report.coverage_bitmap == straight.report.coverage_bitmap
+
+
 class TestCheckpointLayout:
     """The compact, encode-once checkpoint file and its compatibility."""
 
