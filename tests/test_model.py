@@ -161,34 +161,6 @@ class TestEmulator:
         result = emulator.run(make_input(sandbox, {"rbx": 0x40, "rdi": 0x200}), CT_SEQ)
         assert ("reg", "rdi") in result.relevant_labels
 
-    def test_batch_matches_individual_runs(self, sandbox):
-        """``collect_traces_batch`` reuses one emulator; each result must
-        equal a fresh emulator's ``run`` on the same input."""
-        seed = 20250807
-        program_generator = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=seed)
-        input_generator = InputGenerator(sandbox, seed=seed)
-        programs = [program_generator.generate() for _ in range(2)]
-        inputs = [input_generator.generate_one() for _ in range(3)]
-
-        def key(result):
-            return (
-                result.trace.observations,
-                sorted(result.relevant_labels),
-                result.instruction_count,
-                result.executed_pcs,
-                result.final_registers,
-                result.speculative_instruction_count,
-                result.architectural_accesses,
-                result.speculation.cond_branches,
-                result.speculation.tainted_accesses,
-            )
-
-        for program in programs:
-            batch = Emulator(program, sandbox).collect_traces_batch(inputs, CT_COND)
-            for test_input, batched in zip(inputs, batch):
-                single = Emulator(program, sandbox).run(test_input, CT_COND)
-                assert key(batched) == key(single)
-
 
 class TestBoostingEndToEnd:
     @given(seed=st.integers(0, 10_000))
