@@ -34,6 +34,9 @@ against shipping full traces: bytes per result and pickle seconds.  A
 hybrid ``invisispec`` campaign in the indented full-report layout and in
 the compact encode-once layout: bytes per state and seconds per save.
 
+``before_after`` holds hand-recorded ``perfbench`` A/B rows, parent commit
+against change, one per hot-path change; each run carries them forward.
+
 Test-case rates count *generated* test cases (raw coverage); each row also
 reports ``test_cases_executed`` and the scheduler's skip counters, so
 filtered runs show raw next to effective throughput.  Rates are identical
@@ -847,6 +850,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  [warn] baseline budget differs from current budget; no speedups computed")
 
     destination = artifact_path(filter_level, sim_workers=args.sim_workers)
+    # Hand-recorded perfbench A/B rows (parent vs change, one per hot-path
+    # change) are history, not this run's measurement: carry them forward.
+    previous = _load_json(destination)
+    if previous and previous.get("before_after"):
+        artifact["before_after"] = previous["before_after"]
     atomic_write_json(destination, artifact)
     print(f"[artifact] {os.path.relpath(destination)}")
 

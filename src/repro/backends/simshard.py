@@ -39,9 +39,9 @@ processes, and both give the same answer:
   derivation is seeded purely by the base input's fingerprint, so every
   worker derives exactly the same inputs.  Boosting
   (``InputGenerator.mutate_preserving``) lives in this pass; it decodes
-  each variant's sandbox image in bulk from the seeded RNG, so even STT's
-  128-page sandbox costs a few milliseconds per variant, about as much as
-  the round's simulation.
+  each variant's unpreserved locations in bulk from a SHAKE-128 stream, so
+  even STT's 128-page sandbox costs ~3 ms per variant, less than
+  generating the base image.
 
 The pool is a process-wide singleton (persistent workers are the point);
 ``shutdown_pool()`` tears it down explicitly and an ``atexit`` hook — plus
@@ -178,10 +178,11 @@ class SimulationTask:
 class ContractSpec:
     """Worker-side recipe for one round's contract pass (and its cache key).
 
-    ``mutate_preserving`` seeds its RNG from the base input's fingerprint and
-    the base index — never from generator instance state — so any
-    ``InputGenerator`` over an identically sized sandbox derives identical
-    boosted variants.  That is what makes the contract pass shardable.
+    ``mutate_preserving`` keys each variant's SHAKE-128 stream with the base
+    input's fingerprint, the base index (its ``salt``) and the variant
+    index — never with generator instance state — so any ``InputGenerator``
+    over an identically sized sandbox derives identical boosted variants.
+    That is what makes the contract pass shardable.
     """
 
     contract: str
@@ -566,6 +567,9 @@ def _sim_worker_main(
     fault injection.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A forked worker inherits the coordinator's SIGTERM handler (the CLI's
+    # only sets a stop event); ``terminate()`` must end it, not be ignored.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Forked workers inherit the parent's parsed plan; re-read the
     # environment so per-worker match keys see this process's context.
     reset_fault_plan()

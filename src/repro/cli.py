@@ -21,6 +21,7 @@ import threading
 from typing import Optional, Sequence
 
 from repro.backends import available_backends
+from repro.backends.simshard import shutdown_pool
 from repro.core.campaign import Campaign
 from repro.core.config import FuzzerConfig
 from repro.core.io import atomic_write_json
@@ -387,6 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
+        # Stop the simulation workers now, while the interpreter is whole,
+        # rather than leave them to multiprocessing's exit hook.
+        shutdown_pool()
 
     if triage_requested and result.violations and not result.interrupted:
         pipeline = TriagePipeline(

@@ -402,8 +402,10 @@ class AmuletFuzzer:
     # -- checkpointing ------------------------------------------------------------------
     #: Schema tag for :meth:`state_dict` payloads.  v2: every round runs as
     #: simulation chunks; a v1 state may hold rounds simulated on one shared
-    #: core per program, so resuming it would mix the two semantics.
-    STATE_FORMAT = "amulet-instance-state-v2"
+    #: core per program, so resuming it would mix the two semantics.  v3:
+    #: boosted variants draw from the SHAKE-128 boost stream; a v2 state's
+    #: rounds were boosted from ``random.Random``, so it is refused too.
+    STATE_FORMAT = "amulet-instance-state-v3"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.

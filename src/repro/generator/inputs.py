@@ -30,9 +30,16 @@ TaintLabel = Tuple[str, object]
 #: Granularity at which sandbox memory is tracked and mutated.
 MEMORY_GRANULE = 8
 
-#: Byte translation tables for :func:`_fresh_granules`.
+#: Byte translation tables for :func:`_decode_granules`.
 _SMALL_MASK = bytes(0xFF if byte < 0x40 else 0 for byte in range(256))
 _TOP_NIBBLE = bytes(byte >> 4 for byte in range(256))
+
+#: Domain tag of the boost stream (see :meth:`InputGenerator.mutate_preserving`).
+_BOOST_DOMAIN = b"amulet-boost-v1\0"
+#: Boost-stream bytes per unpreserved register (selector, then 8 value
+#: bytes) and per unpreserved granule (selector, low byte, high byte).
+_REGISTER_DRAW = 9
+_GRANULE_DRAW = 3
 
 
 def memory_taint_label(offset: int) -> TaintLabel:
@@ -44,6 +51,29 @@ def register_taint_label(name: str) -> TaintLabel:
     return ("reg", name)
 
 
+def _decode_granules(select: bytes, low: bytes, high: bytes) -> bytearray:
+    """Granule ``i`` of the image decoded from three equal-length byte columns.
+
+    ``select[i] < 0x40`` (probability 1/4) makes the granule the 4-bit value
+    ``high[i] >> 4``; otherwise it is the 16-bit value ``high[i]:low[i]``.
+    Bytes 2..7 are zero.  Two translate tables and whole-column AND/OR on
+    big integers decode every granule at once.
+    """
+    count = len(select)
+    small = int.from_bytes(select.translate(_SMALL_MASK), "little")
+    # ``x ^ (x & small)`` is ``x & ~small`` without a negative big integer.
+    low_word = int.from_bytes(low, "little")
+    high_word = int.from_bytes(high, "little")
+    low_byte = (int.from_bytes(high.translate(_TOP_NIBBLE), "little") & small) | (
+        low_word ^ (low_word & small)
+    )
+    high_byte = high_word ^ (high_word & small)
+    granules = bytearray(count * MEMORY_GRANULE)
+    granules[0::MEMORY_GRANULE] = low_byte.to_bytes(count, "little")
+    granules[1::MEMORY_GRANULE] = high_byte.to_bytes(count, "little")
+    return granules
+
+
 def _fresh_granules(rng: random.Random, count: int) -> bytearray:
     """``count`` granules, each an 8-byte word of ``_random_value(rng, 16)``.
 
@@ -52,20 +82,19 @@ def _fresh_granules(rng: random.Random, count: int) -> bytearray:
     ``c``), and ``randbytes`` emits those 32-bit words little-endian in draw
     order.  ``random() < 0.25`` iff ``a < 2**30`` (byte 3 of ``a`` < 0x40);
     ``getrandbits(k)`` is ``c >> (32 - k)``: 16 bits are ``c``'s bytes 2..3,
-    4 bits are byte 3's top nibble.  So strided byte columns, two translate
-    tables and whole-buffer AND/OR decode every draw at once.
+    4 bits are byte 3's top nibble.  So byte columns 3, 10 and 11 of the
+    12-byte draws are :func:`_decode_granules`' selector, low and high.
     """
     raw = rng.randbytes(12 * count)
-    small = int.from_bytes(raw[3::12].translate(_SMALL_MASK), "little")
-    top = raw[11::12]
-    low = (int.from_bytes(top.translate(_TOP_NIBBLE), "little") & small) | (
-        int.from_bytes(raw[10::12], "little") & ~small
+    return _decode_granules(raw[3::12], raw[10::12], raw[11::12])
+
+
+def _boost_stream(fingerprint: int, salt: int, index: int, size: int) -> bytes:
+    """``size`` bytes of variant ``index``'s SHAKE-128 boost stream."""
+    key = _BOOST_DOMAIN + b"".join(
+        (value & MASK64).to_bytes(8, "little") for value in (fingerprint, salt, index)
     )
-    high = int.from_bytes(top, "little") & ~small
-    granules = bytearray(count * MEMORY_GRANULE)
-    granules[0::MEMORY_GRANULE] = low.to_bytes(count, "little")
-    granules[1::MEMORY_GRANULE] = high.to_bytes(count, "little")
-    return granules
+    return hashlib.shake_128(key).digest(size)
 
 
 @dataclass(frozen=True)
@@ -215,10 +244,19 @@ class InputGenerator:
         (in particular the contract trace that produced the taint set) is
         unchanged.
 
-        Variant ``i``'s stream is one draw per unpreserved register, then
-        one per unpreserved granule in offset order: a :func:`_fresh_granules`
-        image with the base's preserved granule runs spliced in.
+        Variant ``i`` reads a SHAKE-128 stream keyed by a domain tag, the
+        base's :meth:`Input.fingerprint`, ``salt`` and ``i``: 9 bytes per
+        unpreserved register in ``INPUT_REGISTERS`` order (a selector byte,
+        then a little-endian value), then 3 bytes per unpreserved granule in
+        offset order, decoded by :func:`_decode_granules` into a compressed
+        image that the base's preserved granule runs are spliced into.  A
+        selector below 0x40 (probability 1/4) keeps 4 value bits, otherwise
+        ``register_value_bits`` (registers) or 16 (granules) — the
+        distribution :meth:`generate_at` draws from, at a fraction of the
+        cost of ``random.Random`` for a large sandbox.
         """
+        if count <= 0:
+            return []
         size = self.sandbox.size
         preserved = sorted({which for kind, which in preserve if kind == "mem"})
         runs: List[List[int]] = []  # consecutive preserved bytes, [start, stop)
@@ -227,17 +265,31 @@ class InputGenerator:
                 runs[-1][1] += MEMORY_GRANULE
             else:
                 runs.append([offset, offset + MEMORY_GRANULE])
+        fresh_registers = [
+            name for name in INPUT_REGISTERS if register_taint_label(name) not in preserve
+        ]
+        register_bytes = _REGISTER_DRAW * len(fresh_registers)
         fresh_count = size // MEMORY_GRANULE - len(preserved)
+        value_mask = (1 << self.register_value_bits) - 1
         base_memory = memoryview(base.memory)
-        fingerprint = base.fingerprint() & MASK64
+        fingerprint = base.fingerprint()
         variants: List[Input] = []
         for index in range(count):
-            rng = random.Random(fingerprint ^ (salt << 8) ^ (index + 1))
+            stream = _boost_stream(
+                fingerprint, salt, index, register_bytes + _GRANULE_DRAW * fresh_count
+            )
             registers = base.register_dict()
-            for name in INPUT_REGISTERS:
-                if register_taint_label(name) not in preserve:
-                    registers[name] = self._random_value(rng, self.register_value_bits)
-            fresh = memoryview(_fresh_granules(rng, fresh_count))
+            for slot, name in enumerate(fresh_registers):
+                draw = stream[_REGISTER_DRAW * slot : _REGISTER_DRAW * (slot + 1)]
+                value = int.from_bytes(draw[1:], "little")
+                registers[name] = value & (0xF if draw[0] < 0x40 else value_mask)
+            fresh = memoryview(
+                _decode_granules(
+                    stream[register_bytes::_GRANULE_DRAW],
+                    stream[register_bytes + 1 :: _GRANULE_DRAW],
+                    stream[register_bytes + 2 :: _GRANULE_DRAW],
+                )
+            )
             # A fresh byte sits at its sandbox offset minus the run bytes before it.
             pieces, cursor, copied = [], 0, 0
             for start, stop in runs:

@@ -180,6 +180,12 @@ class TestInstanceState:
         with pytest.raises(ValueError, match="format"):
             fuzzer.restore_state({"format": "not-a-state"})
 
+    def test_restore_rejects_a_state_boosted_from_the_old_stream(self):
+        state = _snapshot(_config(), 1)
+        state["format"] = "amulet-instance-state-v2"
+        with pytest.raises(ValueError, match="amulet-instance-state-v2"):
+            AmuletFuzzer(_config()).restore_state(state)
+
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("defense", ALL_DEFENSES)
@@ -284,6 +290,18 @@ class TestCheckpointResume:
         Campaign(_config(seed=3), instances=1).run(checkpoint_path=checkpoint)
         with pytest.raises(ValueError, match="different campaign"):
             _resumed_run(_config(seed=4), 1, checkpoint)
+
+    def test_checkpoint_with_old_stream_states_is_refused(self, tmp_path):
+        config = _config()
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        partial = _interrupted_run(config, 1, checkpoint, stop_after=3)
+        assert partial.interrupted
+        payload = load_json(checkpoint, kind="checkpoint")
+        for state in payload["states"]:
+            state["format"] = "amulet-instance-state-v2"
+        atomic_write_json(checkpoint, payload)
+        with pytest.raises(ValueError, match="amulet-instance-state-v2"):
+            _resumed_run(config, 1, checkpoint)
 
     def test_corrupt_checkpoint_names_file_and_offset(self, tmp_path):
         checkpoint = str(tmp_path / "campaign.ckpt")

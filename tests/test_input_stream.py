@@ -1,10 +1,12 @@
 """Stream identity of the seeded input generator.
 
-``generate_at`` and ``mutate_preserving`` decode sandbox memory in bulk from
-``Random.randbytes``; the seeded streams they define are the per-granule
-scalar loops in ``_scalar_inputs``.  These tests pin byte equality against
-that reference across sandbox sizes and preserve sets, plus BLAKE2b digests
-of a 128-page stream, which the 1-page golden traces cannot cover.
+``generate_at`` decodes sandbox memory in bulk from ``Random.randbytes`` and
+``mutate_preserving`` from a SHAKE-128 stream; the seeded streams they define
+are the per-granule scalar loops in ``_scalar_inputs``.  These tests pin byte
+equality against that reference across sandbox sizes and preserve sets, plus
+BLAKE2b digests of a 128-page stream, which the 1-page golden traces cannot
+cover.  Fresh boosted granules must also keep ``generate_at``'s value
+distribution.
 """
 
 import hashlib
@@ -22,13 +24,13 @@ from repro.generator.inputs import (
 from repro.isa.registers import INPUT_REGISTERS
 
 #: BLAKE2b-128 of ``generate_at(1..3)`` and of ``mutate_preserving(count=6)``
-#: at 128 pages, seed 7, recorded from the per-granule scalar generator.
+#: at 128 pages, seed 7, recorded from the per-granule scalar generators.
 GENERATE_DIGESTS = {
     1: "5c7612add5d77163b3ee615d5de8944a",
     2: "fdbdf9c4aaad4785eafa7d52fbed458e",
     3: "86f13b4fc9023449a68b4b172ad91752",
 }
-BOOST_DIGEST = "10037dad94e50d08d99df0a9a119d190"
+BOOST_DIGEST = "5d13c549804748a05c2cbeafbd5019fb"
 
 #: Maps byte 0 to 1, so every granule byte of a base input is non-zero: a
 #: fresh granule must then clear bytes 2..7 itself.
@@ -119,3 +121,32 @@ def test_large_sandbox_stream_digests():
     }
     variants = generator.mutate_preserving(inputs[1], preserve, count=6, salt=2)
     assert _digest(variants) == BOOST_DIGEST
+
+
+def test_empty_boost_returns_before_hashing_the_base(monkeypatch):
+    generator = InputGenerator(Sandbox(pages=128), seed=7)
+    base = generator.generate_at(1)
+
+    def refuse(self):
+        raise AssertionError("count=0 must not fingerprint the base input")
+
+    monkeypatch.setattr(Input, "fingerprint", refuse)
+    assert generator.mutate_preserving(base, {register_taint_label("rax")}, count=0) == []
+
+
+def test_fresh_granules_keep_the_generate_at_distribution():
+    """One 128-page variant: 16-bit granules, a quarter of them 4-bit."""
+    sandbox = Sandbox(pages=128)
+    base = _base_input(sandbox, seed=3)
+    (variant,) = InputGenerator(sandbox).mutate_preserving(base, set(), count=1)
+    granules = sandbox.size // MEMORY_GRANULE
+    for byte in range(2, MEMORY_GRANULE):
+        assert variant.memory[byte::MEMORY_GRANULE] == bytes(granules)
+    small = sum(
+        1
+        for offset in range(0, sandbox.size, MEMORY_GRANULE)
+        if variant.memory_word(offset) <= 0xF
+    )
+    # A 16-bit draw is <= 0xF with probability 2**-12, so the share is ~0.2502.
+    assert abs(small / granules - 0.25) <= 0.02
+

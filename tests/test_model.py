@@ -163,23 +163,28 @@ class TestEmulator:
 
 
 class TestBoostingEndToEnd:
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), salt=st.integers(0, 31))
     @settings(max_examples=20, deadline=None)
-    def test_boosted_inputs_preserve_the_contract_trace(self, seed):
+    def test_boosted_inputs_preserve_the_contract_trace(self, seed, salt):
         """The taint-guided mutation must never change the contract trace.
 
         This is the core property input boosting relies on: mutate only
         locations that the taint tracker says cannot influence the contract
-        trace, and the trace stays identical.
+        trace, and the trace stays identical.  Checked under every contract,
+        in the default sandbox and in STT's 128-page one.
         """
-        sandbox = Sandbox()
-        program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=seed).generate()
-        generator = InputGenerator(sandbox, seed=seed)
-        emulator = Emulator(program, sandbox)
-        base = generator.generate_one()
-        result = emulator.run(base, CT_SEQ)
-        for variant in generator.mutate_preserving(base, result.relevant_labels, count=3):
-            assert emulator.contract_trace(variant, CT_SEQ) == result.trace
+        for pages in (1, 128):
+            sandbox = Sandbox(pages=pages)
+            program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=seed).generate()
+            generator = InputGenerator(sandbox, seed=seed)
+            emulator = Emulator(program, sandbox)
+            base = generator.generate_one()
+            for contract in list_contracts():
+                result = emulator.run(base, contract)
+                preserve = result.relevant_labels
+                for variant in generator.mutate_preserving(base, preserve, count=3, salt=salt):
+                    assert InputGenerator.preserved_equal(variant, base, preserve)
+                    assert emulator.contract_trace(variant, contract) == result.trace
 
     def test_boosting_preserves_arch_seq_traces_for_stt_case(self):
         case = get_case("stt_store_tlb")

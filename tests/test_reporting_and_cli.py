@@ -1,6 +1,9 @@
 """Tests for reporting utilities, the experiment registry and the CLI."""
 
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert "campaign summary" in captured.out
         assert exit_code in (0, 1)
+
+    def test_cli_with_sim_workers_exits_and_leaves_no_workers(self):
+        """The pooled CLI returns after its summary; no worker outlives it."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        argv = [
+            "--defense", "baseline", "--programs", "1", "--inputs", "7",
+            "--seed", "3", "--sim-workers", "2",
+        ]
+        # A session of its own: the forked workers share its process group,
+        # so the group is empty exactly when no worker is left.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+                leftover = True
+            except ProcessLookupError:
+                leftover = False
+            process.wait()
+        # 1: the insecure baseline is flagged, the campaign's expected verdict.
+        assert process.returncode == 1, err
+        assert "campaign summary" in out
+        assert "interrupt received" not in err
+        assert not leftover, "sim workers outlived the CLI"
 
     def test_cli_rejects_unknown_defense(self):
         with pytest.raises(SystemExit):
